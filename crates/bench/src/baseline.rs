@@ -25,6 +25,11 @@ use std::collections::BTreeMap;
 pub const TOLERANCE_RATIO: f64 = 8.0;
 /// Absolute slack added on top of the ratio band, in seconds.
 pub const ABS_SLACK_S: f64 = 2e-3;
+/// Least share (percent) of a row's block reads that must be served from
+/// recycled pool buffers. Buffers are scoped to one read, so a shard's
+/// pool allocates once or twice in its life; anything under this means
+/// buffers are being held.
+pub const MIN_POOL_REUSE_PCT: f64 = 99.0;
 /// The protocol-overhead budget of the socket arm: a `transport == 1`
 /// row's p99 may exceed its in-process twin's — same window, load,
 /// tenant, and traced state, from the *same run* — by at most this
@@ -472,6 +477,30 @@ pub fn check_serve(current: &BenchDoc, baseline: &BenchDoc) -> Result<Vec<String
         report.push(format!(
             "zero-alloc steady state: {counted_rows} counted rows at 0 allocs/lookup"
         ));
+    }
+
+    // Block buffers are scoped to one read — nothing cached or in flight
+    // pins one — so each shard's pool allocates a buffer or two at start
+    // and recycles from then on. A row whose engine-wide reuse falls
+    // under 99 % has something holding buffers again. Per-tenant rows
+    // carry no pool attribution (a constant 0) and are skipped.
+    let mut pool_rows = 0usize;
+    for row in &current.rows {
+        let Some(&reuse) = row.get("pool_reuse_pct") else { continue };
+        if row.get("tenant").copied().unwrap_or(-1.0) >= 0.0 {
+            continue;
+        }
+        pool_rows += 1;
+        if reuse < MIN_POOL_REUSE_PCT {
+            failures.push(format!(
+                "row [{}] block-buffer pool reuse {reuse:.2}% < {MIN_POOL_REUSE_PCT}% — \
+                 something pins read buffers",
+                row_key(row)
+            ));
+        }
+    }
+    if pool_rows > 0 {
+        report.push(format!("pool reuse: {pool_rows} rows gated at ≥ {MIN_POOL_REUSE_PCT}%"));
     }
 
     // Per-tenant QoS rows (tenant >= 0): within each scenario the
@@ -1214,6 +1243,28 @@ mod tests {
         // Counting on and dirty: fails.
         let failures = check_serve(&with_allocs(0.25), &base).expect_err("allocs must fail");
         assert!(failures.iter().any(|f| f.contains("allocs/lookup")), "{failures:?}");
+    }
+
+    #[test]
+    fn a_pool_that_stops_recycling_fails_the_gate() {
+        let base = doc(&[(200, 50, 1e-4, 5e-4, 2.0, 60.0)]);
+        let with_reuse = |pct: f64, tenant: f64| {
+            let mut d = base.clone();
+            d.rows[0].insert("pool_reuse_pct".into(), pct);
+            d.rows[0].insert("tenant".into(), tenant);
+            d
+        };
+        let check = |d: &BenchDoc| check_serve(d, d);
+        let report = check(&with_reuse(99.9, -1.0)).expect("a recycling pool passes");
+        assert!(report.iter().any(|l| l.contains("pool reuse")), "{report:?}");
+        let failures = check(&with_reuse(98.3, -1.0)).expect_err("pinned buffers must fail");
+        assert!(failures.iter().any(|f| f.contains("pool reuse")), "{failures:?}");
+        // Per-tenant rows carry a constant 0 (no attribution): not gated
+        // (a lone tenant row trips the QoS gate, which is not the point).
+        let failures = check(&with_reuse(0.0, 2.0)).err().unwrap_or_default();
+        assert!(!failures.iter().any(|f| f.contains("pool reuse")), "{failures:?}");
+        // Rows without the column (the control scenarios): not gated.
+        assert!(check(&base).is_ok());
     }
 
     fn tenant_row(

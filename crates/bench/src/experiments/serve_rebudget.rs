@@ -390,7 +390,7 @@ fn steady_state_allocs_per_lookup(inputs: &RebudgetInputs) -> Option<f64> {
     tables[PRE_HOT_TABLE].set_cache_capacity(sliver);
     tables[POST_HOT_TABLE].set_cache_capacity(total - sliver);
     let mut scratch = bandana_core::BatchScratch::new();
-    let mut pool = nvm_sim::BlockBufPool::for_cache(total);
+    let mut pool = nvm_sim::BlockBufPool::default();
     let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, u32, u32)>(4096);
     let mut rng = super::common::SEED ^ 0xA110C;
     let queries: Vec<(usize, Vec<u32>)> = phase_requests(POST_HOT_TABLE, 64, &mut rng)

@@ -426,9 +426,8 @@ fn steady_state_allocs_per_lookup(inputs: &RelayoutInputs) -> Option<f64> {
     tables[0]
         .apply_layout(&mut device, BlockLayout::from_order(order, per_block))
         .expect("probe re-layout applies");
-    let total: usize = tables.iter().map(|t| t.cache_capacity()).sum();
     let mut scratch = bandana_core::BatchScratch::new();
-    let mut pool = nvm_sim::BlockBufPool::for_cache(total);
+    let mut pool = nvm_sim::BlockBufPool::default();
     let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, u32, u64)>(4096);
     let mut generator = ZipfDriftGenerator::new(
         &inputs.spec,

@@ -42,6 +42,7 @@ pub mod alloc;
 pub mod allocator;
 pub mod curve;
 pub mod hrc;
+pub mod idhash;
 pub mod lru;
 pub mod metrics;
 pub mod mini;
@@ -54,6 +55,7 @@ pub use alloc::{allocate_dram, allocation_hit_rate};
 pub use allocator::{allocate_with, compare_policies, AllocationPolicy};
 pub use curve::CurveSampler;
 pub use hrc::HitRateCurve;
+pub use idhash::{IdHashMap, IdHasher};
 pub use lru::SegmentedLru;
 pub use metrics::CacheMetrics;
 pub use mini::{MiniatureCacheSet, SampledStream};

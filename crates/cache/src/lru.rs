@@ -9,7 +9,7 @@
 //! eviction pops the last segment's tail. With one segment this is an exact
 //! LRU, which the property tests verify against a reference model.
 
-use std::collections::HashMap;
+use crate::idhash::IdHashMap;
 
 const NIL: u32 = u32::MAX;
 
@@ -55,7 +55,7 @@ impl SegmentList {
 pub struct SegmentedLru<V> {
     nodes: Vec<Node<V>>,
     free: Vec<u32>,
-    index: HashMap<u64, u32>,
+    index: IdHashMap<u64, u32>,
     segments: Vec<SegmentList>,
     /// Per-segment capacity targets; sum equals total capacity.
     targets: Vec<usize>,
@@ -91,7 +91,10 @@ impl<V> SegmentedLru<V> {
             // occupancy exceeds half the buckets — below that it rehashes in
             // place. The steady-state zero-allocation guarantee on the read
             // path depends on staying on that in-place branch.
-            index: HashMap::with_capacity(capacity.saturating_mul(2)),
+            index: IdHashMap::with_capacity_and_hasher(
+                capacity.saturating_mul(2),
+                Default::default(),
+            ),
             segments: vec![SegmentList::new(); segments],
             targets,
             capacity,
@@ -186,12 +189,13 @@ impl<V> SegmentedLru<V> {
     /// shrink (coldest first; empty on grow).
     ///
     /// Growing takes effect immediately: the raised per-segment targets
-    /// admit new inserts without evicting anything. Shrinking evicts in
-    /// exactly the order [`SegmentedLru::pop_lru`] would — coldest first —
-    /// until the occupancy fits, and never touches the survivors, so their
-    /// relative recency order is preserved. Segments whose occupancy now
-    /// exceeds the smaller targets shed lazily through the usual rebalance
-    /// cascade on subsequent inserts.
+    /// admit new inserts without evicting anything. Shrinking settles every
+    /// segment into its smaller target before returning: overflow cascades
+    /// tail→head down the segments (which keeps the global MRU→LRU order)
+    /// and the last segment sheds from its tail — exactly the order
+    /// [`SegmentedLru::pop_lru`] would evict in — so the survivors keep
+    /// their relative recency, every shed entry is handed back, and the
+    /// queue never holds more than `capacity` entries afterwards.
     ///
     /// The segment count is fixed at construction, so `capacity` is clamped
     /// to at least the segment count (every segment keeps a non-zero
@@ -209,10 +213,9 @@ impl<V> SegmentedLru<V> {
         // tombstone-driven rebuilds stay on the alloc-free in-place path
         // (see `new`). `reserve` takes *additional* slots beyond `len`.
         self.index.reserve(capacity.saturating_mul(2).saturating_sub(self.index.len()));
+        self.cascade(0);
         let mut shed = Vec::new();
-        while self.len() > capacity {
-            let entry = self.pop_lru().expect("occupancy above capacity implies a tail");
-            self.evictions += 1;
+        while let Some(entry) = self.evict_overflow() {
             shed.push(entry);
         }
         shed
@@ -222,20 +225,13 @@ impl<V> SegmentedLru<V> {
     /// segment), returning it. O(segments).
     pub fn pop_lru(&mut self) -> Option<(u64, V)> {
         let id = self.segments.iter().rev().find(|seg| seg.tail != NIL).map(|seg| seg.tail)?;
-        let key = self.nodes[id as usize].key;
-        self.index.remove(&key);
-        self.unlink(id);
-        self.free.push(id);
-        let value = self.nodes[id as usize].value.take().expect("live node has a value");
-        Some((key, value))
+        Some(self.release(id))
     }
 
     /// Removes `key`, returning its value.
     pub fn remove(&mut self, key: u64) -> Option<V> {
-        let id = self.index.remove(&key)?;
-        self.unlink(id);
-        self.free.push(id);
-        self.nodes[id as usize].value.take()
+        let &id = self.index.get(&key)?;
+        Some(self.release(id).1)
     }
 
     /// The keys from MRU to LRU across all segments (O(n); for tests and
@@ -266,6 +262,13 @@ impl<V> SegmentedLru<V> {
             }
         }
         out
+    }
+
+    /// Every cached value, mutably, in no particular order and without
+    /// touching recency (O(slab); for owners that keep side storage keyed
+    /// by a field of the value and need to rewrite that field).
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.nodes.iter_mut().filter_map(|node| node.value.as_mut())
     }
 
     fn alloc(&mut self, key: u64, value: V) -> u32 {
@@ -313,12 +316,20 @@ impl<V> SegmentedLru<V> {
         self.segments[seg].len += 1;
     }
 
-    /// Cascades overflow from segment `from` downward; evicts from the last
-    /// segment's tail. Returns the evicted entry, if any (at most one per
-    /// unit insertion).
-    fn rebalance(&mut self, from: usize) -> Option<(u64, V)> {
-        let last = self.segments.len() - 1;
-        for seg in from..last {
+    /// Takes the live node `id` out of the queue and the index, returning
+    /// its entry; the slab slot goes back on the free list.
+    fn release(&mut self, id: u32) -> (u64, V) {
+        let key = self.nodes[id as usize].key;
+        self.index.remove(&key);
+        self.unlink(id);
+        self.free.push(id);
+        (key, self.nodes[id as usize].value.take().expect("live node has a value"))
+    }
+
+    /// Demotes overflow from segment `from` downward, tail→head, until
+    /// every segment but the last fits its target.
+    fn cascade(&mut self, from: usize) {
+        for seg in from..self.segments.len() - 1 {
             // A demoted entry becomes the *most* recent of the next, colder
             // segment.
             while self.segments[seg].len > self.targets[seg] {
@@ -328,17 +339,26 @@ impl<V> SegmentedLru<V> {
                 self.link_head(tail, seg + 1);
             }
         }
-        let mut evicted = None;
-        while self.segments[last].len > self.targets[last] {
-            let tail = self.segments[last].tail;
-            debug_assert_ne!(tail, NIL);
-            self.unlink(tail);
-            let key = self.nodes[tail as usize].key;
-            self.index.remove(&key);
-            self.free.push(tail);
-            self.evictions += 1;
-            evicted = self.nodes[tail as usize].value.take().map(|v| (key, v));
+    }
+
+    /// Evicts the last segment's tail if that segment is over its target.
+    fn evict_overflow(&mut self) -> Option<(u64, V)> {
+        let last = self.segments.len() - 1;
+        if self.segments[last].len <= self.targets[last] {
+            return None;
         }
+        self.evictions += 1;
+        Some(self.release(self.segments[last].tail))
+    }
+
+    /// Settles the queue after one entry was linked into segment `from`:
+    /// cascades the overflow down and evicts at most one entry. Every
+    /// segment is within its target between operations (`set_capacity`
+    /// settles eagerly), so one link can overflow the last segment by one.
+    fn rebalance(&mut self, from: usize) -> Option<(u64, V)> {
+        self.cascade(from);
+        let evicted = self.evict_overflow();
+        debug_assert!(self.segments.iter().zip(&self.targets).all(|(s, &t)| s.len <= t));
         evicted
     }
 }
@@ -539,6 +559,43 @@ mod tests {
         assert_eq!(lru.capacity(), 3);
         assert_eq!(lru.len(), 3);
         assert_eq!(lru.evictions(), 3);
+    }
+
+    #[test]
+    fn shrink_settles_every_segment_and_hands_back_every_shed_entry() {
+        // Targets (4, 4) holding (1, 4): under the new capacity but with
+        // the tail segment over its new target of 3.
+        let mut lru = SegmentedLru::new(8, 2);
+        lru.insert(0, 0, 0.0);
+        for k in 1..=4u64 {
+            lru.insert(k, k, 0.5);
+        }
+        let shed = lru.set_capacity(6);
+        assert_eq!(shed, vec![(1, 1)], "the tail segment's overflow is shed now, coldest first");
+        assert_eq!(lru.keys_in_order(), vec![0, 4, 3, 2]);
+        // Settled: a hit never evicts, an insert evicts at most the one
+        // entry it returns, and occupancy never passes the capacity.
+        lru.get(2);
+        assert_eq!(lru.len(), 4);
+        for k in 10..30u64 {
+            let before = lru.len();
+            let evicted = lru.insert(k, k, (k % 2) as f64 * 0.5);
+            assert_eq!(lru.len(), before + 1 - usize::from(evicted.is_some()));
+            assert!(lru.len() <= lru.capacity());
+        }
+        assert_eq!(lru.evictions(), 1 + 20 - 2);
+    }
+
+    #[test]
+    fn values_mut_visits_exactly_the_live_entries() {
+        let mut lru = SegmentedLru::new(3, 1);
+        for k in 0..5u64 {
+            lru.insert(k, k, 0.0);
+        }
+        lru.values_mut().for_each(|v| *v += 100);
+        let mut seen: Vec<u64> = lru.entries_in_order().into_iter().map(|(_, &v)| v).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![102, 103, 104]);
     }
 
     #[test]

@@ -97,11 +97,10 @@ impl ConcurrentStore {
     /// [`BandanaStore::into_concurrent`].
     pub fn from_store(store: BandanaStore) -> Self {
         let (device, tables, config, vector_bytes) = store.into_parts();
-        let cached_entries: usize = tables.iter().map(|t| t.cache_capacity()).sum();
         ConcurrentStore {
             device: Mutex::new(MissPath {
                 device,
-                pool: BlockBufPool::for_cache(cached_entries),
+                pool: BlockBufPool::default(),
                 scratch: BatchScratch::new(),
             }),
             tables: tables.into_iter().map(Mutex::new).collect(),
@@ -126,6 +125,7 @@ impl ConcurrentStore {
     }
 
     /// Looks up one embedding vector; safe to call from many threads.
+    /// Returns an owned copy of the payload (see [`TableStore::lookup`]).
     ///
     /// Lock order is table → device, taken only on a miss.
     ///
@@ -178,11 +178,10 @@ impl ConcurrentStore {
         let mut miss = self.device.lock();
         // The scratch and pool riding with the device lock keep the
         // internal miss structures reused across every table's batches;
-        // the results are *moved* out so the global critical section ends
-        // without a payload copy.
+        // the results leave as one owned copy of the scratch's output.
         let MissPath { ref mut device, ref mut pool, ref mut scratch } = *miss;
         guard.lookup_batch_with(device, ids, scratch, pool)?;
-        Ok(scratch.take_out())
+        Ok(scratch.to_bytes())
     }
 
     /// Serves a whole trace across `threads` worker threads, requests

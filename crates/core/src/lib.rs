@@ -48,6 +48,7 @@ pub mod concurrent;
 pub mod config;
 pub mod error;
 pub mod online;
+mod payload_cache;
 pub mod pipeline;
 pub mod scratch;
 pub mod store;

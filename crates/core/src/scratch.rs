@@ -1,12 +1,12 @@
 //! Reusable scratch state for the batched lookup hot path.
 //!
 //! Every [`TableStore::lookup_batch`](crate::TableStore::lookup_batch)
-//! needs a miss plan (which positions missed into which block), per-id
-//! output slots, and a requested-slot set for the prefetch sweep. Building
-//! those from scratch per call puts the allocator on the hottest path in
-//! the system; a [`BatchScratch`] owns them instead, so after the first
-//! few calls at a given batch shape every structure is at capacity and a
-//! steady-state batch allocates nothing.
+//! needs a miss plan (which positions missed into which block), a place to
+//! put the payloads, and a requested-slot set for the prefetch sweep.
+//! Building those from scratch per call puts the allocator on the hottest
+//! path in the system; a [`BatchScratch`] owns them instead, so after the
+//! first few calls at a given batch shape every structure is at capacity
+//! and a steady-state batch allocates nothing.
 //!
 //! # Ownership rules
 //!
@@ -17,17 +17,19 @@
 //!   [`ConcurrentStore`](crate::ConcurrentStore) keeps one next to the
 //!   device lock and each `bandana-serve` shard worker owns one for all
 //!   its tables.
-//! * [`BatchScratch::out`] borrows the results of the **most recent**
-//!   call; copy or drop them before the next lookup reuses the buffers.
-//!   Payload `Bytes` cloned out of the scratch stay valid independently
-//!   (they share the underlying block buffers by refcount).
+//! * The output is one flat byte buffer the lookup **copies** every payload
+//!   into — hits from the table's cache arena, misses from the block just
+//!   read — so nothing in it aliases cache or device memory.
+//!   [`BatchScratch::out`] and [`BatchScratch::payload`] borrow the results
+//!   of the **most recent** call and are valid until the next one reuses
+//!   the buffer; copy what must outlive that.
 //! * Dropping a scratch is always safe; it owns no device or cache
 //!   resources.
 
 use bytes::Bytes;
 
 /// Reusable working memory for [`TableStore::lookup_batch_with`](crate::TableStore::lookup_batch_with)
-/// (miss plan, output slots, requested-slot bitset).
+/// (miss plan, flat output buffer, requested-slot bitset).
 ///
 /// See the [module docs](self) for the ownership rules.
 #[derive(Debug, Default)]
@@ -35,10 +37,11 @@ pub struct BatchScratch {
     /// The miss plan: one `(block, position-in-ids)` pair per missed
     /// lookup, sorted by block (then position) before the read phase.
     pub(crate) misses: Vec<(u32, u32)>,
-    /// One slot per id in the batch, filled as hits and reads resolve.
-    pub(crate) slots: Vec<Option<Bytes>>,
-    /// The densely packed payloads of the last call, in `ids` order.
-    pub(crate) out: Vec<Bytes>,
+    /// The payloads of the last call, back to back in `ids` order:
+    /// `vector_bytes` bytes per id.
+    pub(crate) out: Vec<u8>,
+    /// Payload size of the table the last call served.
+    vector_bytes: usize,
     /// Bitset over a block's vector slots marking which were demanded by
     /// the current batch, so the prefetch sweep skips them in O(1).
     pub(crate) requested_slots: Vec<u64>,
@@ -52,31 +55,49 @@ impl BatchScratch {
     }
 
     /// The payloads produced by the most recent successful
-    /// [`lookup_batch_with`](crate::TableStore::lookup_batch_with), in the
-    /// order of the `ids` it was called with. Overwritten by the next
-    /// call.
-    pub fn out(&self) -> &[Bytes] {
+    /// [`lookup_batch_with`](crate::TableStore::lookup_batch_with), back to
+    /// back in the order of the `ids` it was called with (`ids.len()` ×
+    /// the table's vector size bytes). Overwritten by the next call.
+    pub fn out(&self) -> &[u8] {
         &self.out
     }
 
-    /// Moves the last call's payloads out as an owned `Vec` — the
+    /// The payload of the `i`-th id of the most recent call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a position of that call's `ids`.
+    pub fn payload(&self, i: usize) -> &[u8] {
+        &self.out[i * self.vector_bytes..(i + 1) * self.vector_bytes]
+    }
+
+    /// The last call's payloads as owned [`Bytes`], one per id — the
     /// compatibility path behind
     /// [`TableStore::lookup_batch`](crate::TableStore::lookup_batch) and
     /// [`ConcurrentStore::lookup_batch`](crate::ConcurrentStore::lookup_batch),
-    /// which must return owned results. The scratch's `out` buffer starts
-    /// over empty, so the *next* call regrows it; steady-state callers
-    /// read [`BatchScratch::out`] in place instead.
-    pub fn take_out(&mut self) -> Vec<Bytes> {
-        std::mem::take(&mut self.out)
+    /// which must return owned results. One copy of the flat buffer backs
+    /// every returned view; steady-state callers read
+    /// [`BatchScratch::out`] in place instead.
+    pub fn to_bytes(&self) -> Vec<Bytes> {
+        let all = Bytes::copy_from_slice(&self.out);
+        (0..self.out.len() / self.vector_bytes.max(1))
+            .map(|i| all.slice(i * self.vector_bytes..(i + 1) * self.vector_bytes))
+            .collect()
     }
 
-    /// Resets the per-call state for a batch of `len` ids. Capacity is
-    /// retained; only lengths move.
-    pub(crate) fn begin(&mut self, len: usize) {
+    /// Resets the per-call state for a batch of `len` ids of
+    /// `vector_bytes` bytes each. Capacity is retained; only lengths move
+    /// (bytes left over from an earlier call are overwritten by the lookup,
+    /// never read).
+    pub(crate) fn begin(&mut self, len: usize, vector_bytes: usize) {
         self.misses.clear();
-        self.slots.clear();
-        self.slots.resize(len, None);
-        self.out.clear();
+        self.vector_bytes = vector_bytes;
+        self.out.resize(len * vector_bytes, 0);
+    }
+
+    /// The output bytes of position `i`, for the lookup to fill.
+    pub(crate) fn payload_mut(&mut self, i: usize) -> &mut [u8] {
+        &mut self.out[i * self.vector_bytes..(i + 1) * self.vector_bytes]
     }
 
     /// Clears the requested-slot bitset for a block holding
@@ -107,15 +128,14 @@ mod tests {
     #[test]
     fn begin_resets_lengths_but_keeps_capacity() {
         let mut s = BatchScratch::new();
-        s.begin(8);
+        s.begin(8, 16);
         s.misses.push((3, 1));
-        s.out.push(Bytes::from(vec![1u8]));
-        let slot_cap = s.slots.capacity();
-        s.begin(4);
-        assert_eq!(s.slots.len(), 4);
+        assert_eq!(s.out().len(), 8 * 16);
+        let out_cap = s.out.capacity();
+        s.begin(4, 16);
+        assert_eq!(s.out().len(), 4 * 16);
         assert!(s.misses.is_empty());
-        assert!(s.out().is_empty());
-        assert!(s.slots.capacity() >= slot_cap.min(8));
+        assert_eq!(s.out.capacity(), out_cap);
     }
 
     #[test]
@@ -137,11 +157,18 @@ mod tests {
     }
 
     #[test]
-    fn take_out_leaves_an_empty_scratch() {
+    fn to_bytes_copies_one_view_per_payload() {
         let mut s = BatchScratch::new();
-        s.out.push(Bytes::from(vec![9u8]));
-        let taken = s.take_out();
-        assert_eq!(taken.len(), 1);
-        assert!(s.out().is_empty());
+        s.begin(3, 2);
+        for i in 0..3 {
+            s.payload_mut(i).copy_from_slice(&[i as u8, 10 + i as u8]);
+        }
+        assert_eq!(s.payload(1), &[1, 11]);
+        let owned = s.to_bytes();
+        s.begin(3, 2);
+        s.out.fill(0xFF); // the next call reuses the buffer...
+        let got: Vec<&[u8]> = owned.iter().map(|b| b.as_ref()).collect();
+        assert_eq!(got, [&[0u8, 10][..], &[1, 11], &[2, 12]], "...the copies do not see it");
+        assert!(BatchScratch::new().to_bytes().is_empty());
     }
 }

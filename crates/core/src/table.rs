@@ -2,28 +2,23 @@
 //! machinery.
 
 use crate::error::BandanaError;
+use crate::payload_cache::{Origin, PayloadCache};
 use crate::scratch::BatchScratch;
-use bandana_cache::{AdmissionPolicy, CacheMetrics, SegmentedLru, ShadowCache};
+use bandana_cache::{AdmissionPolicy, CacheMetrics, ShadowCache};
 use bandana_partition::{AccessFrequency, BlockLayout};
 use bandana_trace::EmbeddingTable;
 use bytes::Bytes;
-use nvm_sim::{BlockBufPool, BlockDevice};
+use nvm_sim::{BlockBufPool, BlockDevice, PooledBlock};
 use std::collections::hash_map::{Entry, HashMap};
-
-/// How many LRU segments the cache uses (position granularity 1/16).
-const SEGMENTS: usize = 16;
-
-/// Whether a cached entry arrived on demand or as a prefetch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Origin {
-    Demand,
-    Prefetch,
-}
 
 /// One embedding table stored on NVM with a DRAM cache in front.
 ///
 /// Unlike [`bandana_cache::PrefetchCacheSim`], this stores and serves the
-/// actual embedding bytes; it is the data path of the Bandana store.
+/// actual embedding bytes; it is the data path of the Bandana store. The
+/// cache owns its bytes: an admitted vector is copied out of its block
+/// into a per-table arena, so cached DRAM is entries × vector size
+/// ([`TableStore::cache_resident_bytes`]) and a block buffer is free again
+/// as soon as its read has been served.
 #[derive(Debug)]
 pub struct TableStore {
     table_id: usize,
@@ -33,7 +28,7 @@ pub struct TableStore {
     /// Shadow-cache size multiplier last applied (construction or
     /// [`TableStore::set_policy`]); captured by persistence snapshots.
     shadow_multiplier: f64,
-    cache: SegmentedLru<(Origin, Bytes)>,
+    cache: PayloadCache,
     shadow: Option<ShadowCache>,
     metrics: CacheMetrics,
     /// First device block of this table's region.
@@ -85,14 +80,14 @@ impl TableStore {
             freq,
             policy,
             shadow_multiplier,
-            cache: SegmentedLru::new(cache_capacity, SEGMENTS.min(cache_capacity)),
+            cache: PayloadCache::new(cache_capacity, vector_bytes),
             shadow,
             metrics: CacheMetrics::new(),
             base_block,
             vector_bytes,
             layout_epoch: 0,
             scratch: BatchScratch::new(),
-            pool: BlockBufPool::for_cache(cache_capacity),
+            pool: BlockBufPool::default(),
         }
     }
 
@@ -104,6 +99,11 @@ impl TableStore {
     /// Number of vectors in the table.
     pub fn num_vectors(&self) -> u32 {
         self.num_vectors
+    }
+
+    /// Bytes per embedding vector.
+    pub fn vector_bytes(&self) -> usize {
+        self.vector_bytes
     }
 
     /// Number of NVM blocks the table occupies.
@@ -160,6 +160,16 @@ impl TableStore {
         self.cache.capacity()
     }
 
+    /// Bytes of payload the DRAM cache holds right now: cached entries ×
+    /// [`TableStore::vector_bytes`], plus at most one spare slot — never
+    /// more than `(cache_capacity() + 1) × vector_bytes()`. The arena
+    /// behind it grows as entries are admitted (nothing is reserved up
+    /// front) and is cut back by a [`TableStore::set_cache_capacity`]
+    /// shrink.
+    pub fn cache_resident_bytes(&self) -> usize {
+        self.cache.resident_bytes()
+    }
+
     /// Replaces the admission policy (used by the tuner). The shadow cache
     /// is created or dropped as needed; cache contents are preserved.
     pub fn set_policy(&mut self, policy: AdmissionPolicy, shadow_multiplier: f64) {
@@ -177,15 +187,13 @@ impl TableStore {
     /// Resizes the DRAM cache online (the budget controller's lever).
     ///
     /// Growing admits immediately; shrinking evicts coldest-first without
-    /// touching the survivors (the shed entries count as evictions). The
-    /// shadow cache, when present, is rebuilt at the new capacity — its
-    /// admission history restarts, like a policy change. The buffer pool
-    /// is deliberately left warm so steady-state lookups stay
-    /// allocation-free across a resize. `entries` is clamped to at least
-    /// the LRU's segment count.
+    /// touching the survivors (the shed entries count as evictions), packs
+    /// the survivors' payloads together and returns the rest of the arena's
+    /// memory. The shadow cache, when present, is rebuilt at the new
+    /// capacity — its admission history restarts, like a policy change.
+    /// `entries` is clamped to at least the LRU's segment count.
     pub fn set_cache_capacity(&mut self, entries: usize) {
-        let shed = self.cache.set_capacity(entries);
-        self.metrics.evictions += shed.len() as u64;
+        self.metrics.evictions += self.cache.set_capacity(entries) as u64;
         if self.shadow.is_some() {
             self.shadow = Some(ShadowCache::new(self.cache.capacity(), self.shadow_multiplier));
         }
@@ -206,11 +214,7 @@ impl TableStore {
     /// bytes are not captured — recovery re-reads them from the device,
     /// which is the durable copy.
     pub fn cache_snapshot(&self) -> Vec<(u32, bool)> {
-        self.cache
-            .entries_in_order()
-            .into_iter()
-            .map(|(k, v)| (k as u32, v.0 == Origin::Demand))
-            .collect()
+        self.cache.snapshot()
     }
 
     /// Restores cache contents captured by [`TableStore::cache_snapshot`],
@@ -230,39 +234,25 @@ impl TableStore {
         device: &mut dyn BlockDevice,
         entries: &[(u32, bool)],
     ) -> Result<usize, BandanaError> {
-        let mut pool = std::mem::take(&mut self.pool);
-        let result = self.rehydrate_with(device, entries, &mut pool);
-        self.pool = pool;
-        result
-    }
-
-    fn rehydrate_with(
-        &mut self,
-        device: &mut dyn BlockDevice,
-        entries: &[(u32, bool)],
-        pool: &mut BlockBufPool,
-    ) -> Result<usize, BandanaError> {
-        // Entries from the same block share one read; the map holds the
-        // frozen block views the restored payload slices alias anyway.
-        let mut blocks: HashMap<u32, Bytes> = HashMap::new();
+        // Entries from the same block share one read.
+        let mut blocks: HashMap<u32, Vec<u8>> = HashMap::new();
         let mut restored = 0usize;
         for &(v, demand) in entries.iter().rev() {
             if v >= self.num_vectors {
                 continue;
             }
-            let block = self.layout.block_of(v);
-            let raw = match blocks.entry(block) {
-                Entry::Occupied(e) => e.get().clone(),
+            let raw = match blocks.entry(self.layout.block_of(v)) {
+                Entry::Occupied(e) => e.into_mut(),
                 Entry::Vacant(e) => {
-                    let raw = self.read_block_pooled(device, pool, block)?;
-                    e.insert(raw.clone());
-                    raw
+                    let mut raw = vec![0u8; device.block_size()];
+                    device.read_block_into(self.base_block + u64::from(*e.key()), &mut raw)?;
+                    e.insert(raw)
                 }
             };
-            let slot = self.layout.slot_of(v) as usize;
-            let payload = raw.slice(slot * self.vector_bytes..(slot + 1) * self.vector_bytes);
+            let payload = self.vector_in(raw, self.layout.slot_of(v) as usize);
             let origin = if demand { Origin::Demand } else { Origin::Prefetch };
-            self.cache.insert(v as u64, (origin, payload), 0.0);
+            // `refresh`: a snapshot that repeats a key must not cost a slot.
+            self.cache.insert(v, origin, 0.0, payload, true);
             restored += 1;
         }
         Ok(restored)
@@ -281,9 +271,7 @@ impl TableStore {
         device: &mut dyn BlockDevice,
         embeddings: &EmbeddingTable,
     ) -> Result<(), BandanaError> {
-        let block_size = device.block_size();
-        let vectors_per_block = self.layout.vectors_per_block();
-        let mut buf = vec![0u8; block_size];
+        let mut buf = vec![0u8; device.block_size()];
         for b in 0..self.layout.num_blocks() {
             buf.iter_mut().for_each(|x| *x = 0);
             for (slot, &v) in self.layout.vectors_in_block(b).iter().enumerate() {
@@ -294,7 +282,6 @@ impl TableStore {
                     buf[off..off + len].copy_from_slice(&bytes[..len]);
                 }
             }
-            let _ = vectors_per_block;
             device.write_block(self.base_block + b as u64, &buf)?;
         }
         Ok(())
@@ -313,7 +300,7 @@ impl TableStore {
     /// charged to the device's endurance meter like retraining.
     ///
     /// The DRAM cache is untouched: entries are keyed by vector id and hold
-    /// position-independent payload bytes, so they stay valid under any
+    /// their own copy of the payload bytes, so they stay valid under any
     /// remap. Cache counters do not move — a re-layout is not traffic.
     ///
     /// Returns the number of blocks rewritten (0 when `new_layout` places
@@ -355,38 +342,29 @@ impl TableStore {
         }
 
         // Read phase: every block sourcing a changed destination, exactly
-        // once, through the pooled read path. All reads precede all writes.
-        let mut pool = std::mem::take(&mut self.pool);
-        let mut sources: HashMap<u32, Bytes> = HashMap::new();
-        let mut read =
-            |this: &mut Self, pool: &mut BlockBufPool, sources: &mut HashMap<u32, Bytes>| {
-                for &b in &changed {
-                    for &v in new_layout.vectors_in_block(b) {
-                        let src = this.layout.block_of(v);
-                        if let Entry::Vacant(e) = sources.entry(src) {
-                            e.insert(this.read_block_pooled(device, pool, src)?);
-                        }
-                    }
+        // once. All reads precede all writes.
+        let block_size = device.block_size();
+        let mut sources: HashMap<u32, Vec<u8>> = HashMap::new();
+        for &b in &changed {
+            for &v in new_layout.vectors_in_block(b) {
+                if let Entry::Vacant(e) = sources.entry(self.layout.block_of(v)) {
+                    let mut raw = vec![0u8; block_size];
+                    device.read_block_into(self.base_block + u64::from(*e.key()), &mut raw)?;
+                    e.insert(raw);
                 }
-                Ok::<(), BandanaError>(())
-            };
-        let read_result = read(self, &mut pool, &mut sources);
-        self.pool = pool;
-        read_result?;
+            }
+        }
 
         // Write phase: assemble each changed block from the old placement's
         // payloads and rewrite it (endurance-charged).
-        let block_size = device.block_size();
         let mut buf = vec![0u8; block_size];
         for &b in &changed {
             buf.iter_mut().for_each(|x| *x = 0);
             for (slot, &v) in new_layout.vectors_in_block(b).iter().enumerate() {
                 let src = &sources[&self.layout.block_of(v)];
-                let old_slot = self.layout.slot_of(v) as usize;
                 let off = slot * self.vector_bytes;
-                buf[off..off + self.vector_bytes].copy_from_slice(
-                    &src[old_slot * self.vector_bytes..(old_slot + 1) * self.vector_bytes],
-                );
+                buf[off..off + self.vector_bytes]
+                    .copy_from_slice(self.vector_in(src, self.layout.slot_of(v) as usize));
             }
             device.write_block(self.base_block + u64::from(b), &buf)?;
         }
@@ -398,7 +376,11 @@ impl TableStore {
 
     /// Looks up one vector, reading through to NVM on a miss.
     ///
-    /// Returns the vector payload (cheaply cloneable).
+    /// Returns an **owned copy** of the payload: the cache keeps its bytes
+    /// in its own arena and hands none of it out. That costs an allocation
+    /// per call, which is fine here — the single-id paths are off the
+    /// serving path; serving goes through [`TableStore::lookup_batch_with`],
+    /// which allocates nothing.
     ///
     /// # Errors
     ///
@@ -417,10 +399,10 @@ impl TableStore {
     }
 
     /// The DRAM-only half of [`TableStore::lookup`]: validates `v`, records
-    /// the lookup, and returns the payload if it is cached. On `Ok(None)`
-    /// the caller must complete the lookup with the device-side half
-    /// (`lookup_miss`); [`crate::ConcurrentStore`] uses this split to avoid
-    /// taking the device lock on hits.
+    /// the lookup, and returns an owned copy of the payload if it is
+    /// cached. On `Ok(None)` the caller must complete the lookup with the
+    /// device-side half (`lookup_miss`); [`crate::ConcurrentStore`] uses
+    /// this split to avoid taking the device lock on hits.
     ///
     /// # Errors
     ///
@@ -433,36 +415,44 @@ impl TableStore {
                 vectors: self.num_vectors,
             });
         }
+        Ok(self.probe(v).map(Bytes::copy_from_slice))
+    }
+
+    /// Records a lookup of `v` (which must be in range) and returns its
+    /// cached payload on a hit, promoted to MRU.
+    fn probe(&mut self, v: u32) -> Option<&[u8]> {
         self.metrics.lookups += 1;
         if let Some(shadow) = &mut self.shadow {
             shadow.record_read(v as u64);
         }
-        if let Some((origin, bytes)) = self.cache.get_mut(v as u64) {
-            // Promote a prefetched entry to demand-fetched in place: no
-            // payload clone, no re-insert, no spurious eviction churn.
-            if *origin == Origin::Prefetch {
-                *origin = Origin::Demand;
-                self.metrics.prefetch_hits += 1;
-            }
-            let bytes = bytes.clone();
-            self.metrics.hits += 1;
-            return Ok(Some(bytes));
+        let (origin, payload) = self.cache.get(v)?;
+        // Promote a prefetched entry to demand-fetched in place: no
+        // re-insert, no spurious eviction churn.
+        if *origin == Origin::Prefetch {
+            *origin = Origin::Demand;
+            self.metrics.prefetch_hits += 1;
         }
-        Ok(None)
+        self.metrics.hits += 1;
+        Some(payload)
     }
 
-    /// Reads one table block through the buffer pool: the block lands in a
-    /// recycled buffer (`read_block_into`, no fresh `Vec` per read) and is
-    /// frozen into a zero-copy [`Bytes`] view that payload slices share.
+    /// The bytes of the vector in `slot` of the block `raw`.
+    fn vector_in<'a>(&self, raw: &'a [u8], slot: usize) -> &'a [u8] {
+        &raw[slot * self.vector_bytes..(slot + 1) * self.vector_bytes]
+    }
+
+    /// Reads one table block into a buffer recycled from `pool`
+    /// (`read_block_into`, no fresh `Vec` per read). The caller copies what
+    /// it needs out of the block and recycles the buffer.
     fn read_block_pooled(
-        &mut self,
+        &self,
         device: &mut dyn BlockDevice,
         pool: &mut BlockBufPool,
         block: u32,
-    ) -> Result<Bytes, BandanaError> {
+    ) -> Result<PooledBlock, BandanaError> {
         let mut buf = pool.acquire(device.block_size());
         match device.read_block_into(self.base_block + u64::from(block), buf.as_mut_slice()) {
-            Ok(()) => Ok(Bytes::from_owner(buf.freeze(pool))),
+            Ok(()) => Ok(buf),
             Err(e) => {
                 buf.recycle(pool);
                 Err(e.into())
@@ -470,9 +460,41 @@ impl TableStore {
         }
     }
 
+    /// Copies a demanded vector's `payload` into the cache at MRU.
+    /// `refresh` as in [`PayloadCache::insert`].
+    fn admit_demand(&mut self, v: u32, payload: &[u8], refresh: bool) {
+        self.metrics.misses += 1;
+        if self.cache.insert(v, Origin::Demand, 0.0, payload, refresh) {
+            self.metrics.evictions += 1;
+        }
+    }
+
+    /// The prefetch sweep over a block just read: every vector of `block`
+    /// that was not `demanded` (by block slot) and is not cached is offered
+    /// to the admission policy.
+    fn admit_neighbours(&mut self, block: u32, raw: &[u8], demanded: impl Fn(usize) -> bool) {
+        if !self.policy.prefetches() {
+            return;
+        }
+        for (uslot, &u) in self.layout.vectors_in_block(block).iter().enumerate() {
+            if demanded(uslot) || self.cache.contains(u) {
+                continue;
+            }
+            let shadow_hit = self.shadow.as_ref().is_some_and(|s| s.contains(u as u64));
+            if let Some(pos) = self.policy.admit(self.freq.count(u), shadow_hit) {
+                self.metrics.prefetches_admitted += 1;
+                let upayload = self.vector_in(raw, uslot);
+                if self.cache.insert(u, Origin::Prefetch, pos, upayload, false) {
+                    self.metrics.evictions += 1;
+                }
+            }
+        }
+    }
+
     /// The device-side half of a lookup. Must only be called after
     /// [`TableStore::lookup_cached`] returned `Ok(None)` for the same `v`.
-    /// The block is read into a buffer recycled from `pool`.
+    /// The block is read into a buffer recycled from `pool` and returned
+    /// to it before this returns; the result is an owned copy.
     ///
     /// # Errors
     ///
@@ -484,34 +506,17 @@ impl TableStore {
         pool: &mut BlockBufPool,
     ) -> Result<Bytes, BandanaError> {
         // Miss: fetch the whole 4 KB block.
-        self.metrics.misses += 1;
         self.metrics.block_reads += 1;
         let block = self.layout.block_of(v);
-        let raw = self.read_block_pooled(device, pool, block)?;
-
+        let buf = self.read_block_pooled(device, pool, block)?;
+        let raw = buf.as_slice();
         let slot = self.layout.slot_of(v) as usize;
-        let payload = raw.slice(slot * self.vector_bytes..(slot + 1) * self.vector_bytes);
-        if self.cache.insert(v as u64, (Origin::Demand, payload.clone()), 0.0).is_some() {
-            self.metrics.evictions += 1;
-        }
-
-        if self.policy.prefetches() {
-            for (uslot, &u) in self.layout.vectors_in_block(block).iter().enumerate() {
-                if u == v || self.cache.contains(u as u64) {
-                    continue;
-                }
-                let shadow_hit = self.shadow.as_ref().is_some_and(|s| s.contains(u as u64));
-                if let Some(pos) = self.policy.admit(self.freq.count(u), shadow_hit) {
-                    self.metrics.prefetches_admitted += 1;
-                    let upayload =
-                        raw.slice(uslot * self.vector_bytes..(uslot + 1) * self.vector_bytes);
-                    if self.cache.insert(u as u64, (Origin::Prefetch, upayload), pos).is_some() {
-                        self.metrics.evictions += 1;
-                    }
-                }
-            }
-        }
-        Ok(payload)
+        let payload = self.vector_in(raw, slot);
+        let owned = Bytes::copy_from_slice(payload);
+        self.admit_demand(v, payload, false);
+        self.admit_neighbours(block, raw, |uslot| uslot == slot);
+        buf.recycle(pool);
+        Ok(owned)
     }
 
     /// Looks up a whole query at once, coalescing NVM reads: misses that
@@ -520,9 +525,10 @@ impl TableStore {
     /// so with SHP placement clustering co-accessed vectors this is the
     /// natural serving interface.
     ///
-    /// Returns payloads in `ids` order. Metrics count every element of
-    /// `ids` as a lookup; duplicate uncached ids within one batch each
-    /// count as a miss but share the block read.
+    /// Returns owned payloads in `ids` order (views of one buffer copied
+    /// out of the scratch). Metrics count every element of `ids` as a
+    /// lookup; duplicate uncached ids within one batch each count as a miss
+    /// but share the block read.
     ///
     /// # Errors
     ///
@@ -537,20 +543,24 @@ impl TableStore {
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut pool = std::mem::take(&mut self.pool);
         let result = self.lookup_batch_with(device, ids, &mut scratch, &mut pool);
-        let out = result.map(|()| scratch.take_out());
+        let out = result.map(|()| scratch.to_bytes());
         self.scratch = scratch;
         self.pool = pool;
         out
     }
 
     /// [`TableStore::lookup_batch`] with caller-owned working state: the
-    /// miss plan, output slots, and requested-slot bitset live in
-    /// `scratch`, block reads recycle buffers from `pool`, and the
-    /// payloads land in [`BatchScratch::out`] (in `ids` order) instead of
-    /// a freshly allocated `Vec`. After a few calls have warmed the
-    /// scratch and pool to the workload's batch shape, a steady-state call
-    /// performs **zero heap allocations** — the property the serving
-    /// engine's shard workers (one scratch + pool per worker) rely on.
+    /// miss plan and requested-slot bitset live in `scratch`, block reads
+    /// recycle buffers from `pool`, and every payload is **copied** into
+    /// the scratch's flat output buffer ([`BatchScratch::out`], in `ids`
+    /// order) — hits from the cache arena, misses from the block just read,
+    /// which also fills the arena. Each block buffer goes back to `pool`
+    /// at the end of its group of misses, so the output aliases neither
+    /// the cache nor the device and stays valid until the scratch's next
+    /// call. After a few calls have warmed the scratch and pool to the
+    /// workload's batch shape, a steady-state call performs **zero heap
+    /// allocations** — the property the serving engine's shard workers (one
+    /// scratch + pool per worker) rely on.
     ///
     /// # Errors
     ///
@@ -573,10 +583,10 @@ impl TableStore {
             }
         }
 
-        scratch.begin(ids.len());
+        scratch.begin(ids.len(), self.vector_bytes);
         for (i, &v) in ids.iter().enumerate() {
-            match self.lookup_cached(v)? {
-                Some(bytes) => scratch.slots[i] = Some(bytes),
+            match self.probe(v) {
+                Some(payload) => scratch.payload_mut(i).copy_from_slice(payload),
                 None => scratch.misses.push((self.layout.block_of(v), i as u32)),
             }
         }
@@ -594,49 +604,33 @@ impl TableStore {
                 group + scratch.misses[group..].iter().take_while(|&&(b, _)| b == block).count();
 
             self.metrics.block_reads += 1;
-            let raw = self.read_block_pooled(device, pool, block)?;
+            let buf = self.read_block_pooled(device, pool, block)?;
+            let raw = buf.as_slice();
             scratch.reset_requested(vectors_per_block);
             for m in group..end {
                 let pos = scratch.misses[m].1 as usize;
                 let v = ids[pos];
-                self.metrics.misses += 1;
                 let slot = self.layout.slot_of(v) as usize;
-                let payload = raw.slice(slot * self.vector_bytes..(slot + 1) * self.vector_bytes);
-                if self.cache.insert(v as u64, (Origin::Demand, payload.clone()), 0.0).is_some() {
-                    self.metrics.evictions += 1;
-                }
-                scratch.slots[pos] = Some(payload);
+                let payload = self.vector_in(raw, slot);
+                scratch.payload_mut(pos).copy_from_slice(payload);
+                // A slot already marked is a duplicate id: its first miss
+                // in this group admitted it, so this one refreshes.
+                self.admit_demand(v, payload, scratch.is_requested(slot));
                 scratch.mark_requested(slot);
             }
-
-            if self.policy.prefetches() {
-                for (uslot, &u) in self.layout.vectors_in_block(block).iter().enumerate() {
-                    // The scratch bitset answers "was this slot demanded by
-                    // the batch?" in O(1), replacing a linear scan over the
-                    // requested ids.
-                    if scratch.is_requested(uslot) || self.cache.contains(u as u64) {
-                        continue;
-                    }
-                    let shadow_hit = self.shadow.as_ref().is_some_and(|s| s.contains(u as u64));
-                    if let Some(pos) = self.policy.admit(self.freq.count(u), shadow_hit) {
-                        self.metrics.prefetches_admitted += 1;
-                        let upayload =
-                            raw.slice(uslot * self.vector_bytes..(uslot + 1) * self.vector_bytes);
-                        if self.cache.insert(u as u64, (Origin::Prefetch, upayload), pos).is_some()
-                        {
-                            self.metrics.evictions += 1;
-                        }
-                    }
-                }
-            }
+            // The scratch bitset answers "was this slot demanded by the
+            // batch?" in O(1), replacing a linear scan over the requested
+            // ids.
+            self.admit_neighbours(block, raw, |uslot| scratch.is_requested(uslot));
+            buf.recycle(pool);
             group = end;
         }
-
-        let BatchScratch { ref mut slots, ref mut out, .. } = *scratch;
-        out.extend(slots.drain(..).map(|slot| slot.expect("every position filled")));
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod arena_props;
 
 #[cfg(test)]
 mod tests {
@@ -644,19 +638,31 @@ mod tests {
     use bandana_trace::{spec::TableSpec, TopicModel};
     use nvm_sim::{NvmConfig, NvmDevice};
 
-    fn setup(policy: AdmissionPolicy, cache: usize) -> (TableStore, NvmDevice, EmbeddingTable) {
-        let spec = TableSpec::test_small(64);
+    /// A table of `vectors` 32-byte vectors, `per_block` to a block, written
+    /// to a fresh device.
+    pub(super) fn setup_blocks(
+        vectors: u32,
+        per_block: usize,
+        policy: AdmissionPolicy,
+        cache: usize,
+    ) -> (TableStore, NvmDevice, EmbeddingTable) {
+        let spec = TableSpec::test_small(vectors);
         let topics = TopicModel::new(&spec, 1);
-        let emb = EmbeddingTable::synthesize(64, 8, &topics, 2); // 32 B vectors
-        let layout = BlockLayout::identity(64, 4096 / 32);
-        let freq = AccessFrequency::zeros(64);
+        let emb = EmbeddingTable::synthesize(vectors, 8, &topics, 2); // 32 B vectors
+        let layout = BlockLayout::identity(vectors, per_block);
         let mut device = NvmDevice::new(
             NvmConfig::optane_375gb().with_capacity_blocks(layout.num_blocks() as u64),
         );
+        let freq = AccessFrequency::zeros(vectors);
         let mut table = TableStore::new(0, layout, freq, policy, cache, 1.5, 0, 32);
         table.write_embeddings(&mut device, &emb).unwrap();
         device.reset_counters();
         (table, device, emb)
+    }
+
+    /// 64 vectors, all in one 4 KB block.
+    fn setup(policy: AdmissionPolicy, cache: usize) -> (TableStore, NvmDevice, EmbeddingTable) {
+        setup_blocks(64, 4096 / 32, policy, cache)
     }
 
     #[test]
@@ -860,54 +866,51 @@ mod tests {
         let mut pool = nvm_sim::BlockBufPool::default();
         let ids = [0u32, 17, 63, 17, 5];
         table.lookup_batch_with(&mut device, &ids, &mut scratch, &mut pool).unwrap();
-        assert_eq!(scratch.out().len(), ids.len());
+        assert_eq!(scratch.out().len(), ids.len() * 32);
         for (i, &v) in ids.iter().enumerate() {
-            assert_eq!(scratch.out()[i].as_ref(), emb.vector_as_bytes(v).as_slice(), "id {v}");
+            assert_eq!(scratch.payload(i), emb.vector_as_bytes(v).as_slice(), "id {v}");
         }
     }
 
     #[test]
-    fn pool_recycles_buffers_once_the_cache_churns() {
-        // Eight vectors per block across eight blocks, cache of eight:
-        // cycling through the blocks keeps missing while older blocks'
-        // cached slices are evicted, releasing their buffers for reuse.
-        let spec = TableSpec::test_small(64);
-        let topics = TopicModel::new(&spec, 1);
-        let emb = EmbeddingTable::synthesize(64, 8, &topics, 2); // 32 B vectors
-        let layout = BlockLayout::identity(64, 8);
-        let mut device = NvmDevice::new(
-            NvmConfig::optane_375gb().with_capacity_blocks(layout.num_blocks() as u64),
-        );
-        let mut table = TableStore::new(
-            0,
-            layout,
-            AccessFrequency::zeros(64),
-            AdmissionPolicy::None,
-            8,
-            1.5,
-            0,
-            32,
-        );
-        table.write_embeddings(&mut device, &emb).unwrap();
+    fn block_buffers_are_batch_scoped_however_large_the_cache() {
+        // The pathology this guards against: cached payloads used to pin
+        // their source blocks, so a table with thousands of cached entries
+        // kept thousands of buffers alive and every miss read swept the
+        // pool for a free one before allocating anyway. Fill an 8 192-entry
+        // cache completely, then serve 1 000 more miss reads.
+        let (mut table, mut device, emb) = setup_blocks(16_384, 8, AdmissionPolicy::None, 8_192);
         let mut scratch = BatchScratch::new();
-        let mut pool = nvm_sim::BlockBufPool::default();
-        for round in 0..4u32 {
-            for b in 0..8u32 {
-                let ids = [b * 8, b * 8 + 1];
-                table.lookup_batch_with(&mut device, &ids, &mut scratch, &mut pool).unwrap();
-            }
-            let _ = round;
+        let mut pool = nvm_sim::BlockBufPool::for_cache(table.cache_capacity());
+        for v in 0..8_192u32 {
+            table.lookup_batch_with(&mut device, &[v], &mut scratch, &mut pool).unwrap();
+        }
+        assert_eq!(table.cache_snapshot().len(), 8_192, "cache fully populated");
+        for v in 8_192..9_192u32 {
+            table.lookup_batch_with(&mut device, &[v], &mut scratch, &mut pool).unwrap();
+            assert_eq!(scratch.payload(0), emb.vector_as_bytes(v).as_slice());
         }
         let stats = pool.stats();
-        assert!(stats.reuses > 0, "pool never recycled: {stats:?}");
-        assert!(
-            stats.allocs < stats.acquires,
-            "steady-state misses must stop allocating: {stats:?}"
-        );
-        // Payloads still correct after heavy buffer recycling.
-        table.lookup_batch_with(&mut device, &[9, 25], &mut scratch, &mut pool).unwrap();
-        assert_eq!(scratch.out()[0].as_ref(), emb.vector_as_bytes(9).as_slice());
-        assert_eq!(scratch.out()[1].as_ref(), emb.vector_as_bytes(25).as_slice());
+        assert_eq!(stats.acquires, 9_192);
+        assert!(stats.allocs <= 2, "miss reads must not allocate buffers: {stats:?}");
+        assert!(stats.retained <= 2, "nothing may pin a block buffer: {stats:?}");
+        assert!(stats.reuse_rate() >= 0.99, "{stats:?}");
+        assert_eq!(table.cache_resident_bytes(), (8_192 + 1) * 32);
+    }
+
+    #[test]
+    fn single_id_lookups_return_copies_the_cache_cannot_disturb() {
+        let (mut table, mut device, emb) = setup_blocks(64, 8, AdmissionPolicy::None, 16);
+        let held: Vec<(u32, Bytes)> =
+            (0..4u32).map(|v| (v, table.lookup(&mut device, v).unwrap())).collect();
+        // Churn every slot of the arena and shrink it under the copies.
+        for v in 4..64u32 {
+            table.lookup(&mut device, v).unwrap();
+        }
+        table.set_cache_capacity(16);
+        for (v, bytes) in held {
+            assert_eq!(bytes.as_ref(), emb.vector_as_bytes(v).as_slice(), "copy of {v} changed");
+        }
     }
 
     #[test]
@@ -930,25 +933,7 @@ mod tests {
     #[test]
     fn apply_layout_preserves_bytes_and_charges_endurance() {
         // 8 vectors per block so a remap spans several physical blocks.
-        let spec = TableSpec::test_small(64);
-        let topics = TopicModel::new(&spec, 1);
-        let emb = EmbeddingTable::synthesize(64, 8, &topics, 2); // 32 B vectors
-        let layout = BlockLayout::identity(64, 8);
-        let mut device = NvmDevice::new(
-            NvmConfig::optane_375gb().with_capacity_blocks(layout.num_blocks() as u64),
-        );
-        let mut t = TableStore::new(
-            0,
-            layout,
-            AccessFrequency::zeros(64),
-            AdmissionPolicy::None,
-            8,
-            1.5,
-            0,
-            32,
-        );
-        t.write_embeddings(&mut device, &emb).unwrap();
-        device.reset_counters();
+        let (mut t, mut device, emb) = setup_blocks(64, 8, AdmissionPolicy::None, 8);
         let endurance_before = device.endurance().bytes_written();
         assert_eq!(t.layout_epoch(), 0);
 
@@ -970,25 +955,7 @@ mod tests {
 
     #[test]
     fn apply_layout_rewrites_only_changed_blocks_and_keeps_cache() {
-        let spec = TableSpec::test_small(64);
-        let topics = TopicModel::new(&spec, 1);
-        let emb = EmbeddingTable::synthesize(64, 8, &topics, 2);
-        let layout = BlockLayout::identity(64, 8);
-        let mut device = NvmDevice::new(
-            NvmConfig::optane_375gb().with_capacity_blocks(layout.num_blocks() as u64),
-        );
-        let mut t = TableStore::new(
-            0,
-            layout,
-            AccessFrequency::zeros(64),
-            AdmissionPolicy::None,
-            8,
-            1.5,
-            0,
-            32,
-        );
-        t.write_embeddings(&mut device, &emb).unwrap();
-        device.reset_counters();
+        let (mut t, mut device, emb) = setup_blocks(64, 8, AdmissionPolicy::None, 8);
 
         // Warm the cache with vectors from an untouched block.
         t.lookup(&mut device, 40).unwrap();
@@ -1028,26 +995,5 @@ mod tests {
         let (mut table, mut device, _) = setup(AdmissionPolicy::None, 8);
         let bad = BlockLayout::identity(64, 16);
         let _ = table.apply_layout(&mut device, bad);
-    }
-
-    #[test]
-    fn metrics_match_cache_sim_semantics() {
-        // The byte-serving table and the id-only simulator must agree on
-        // counters for the same stream.
-        let (mut table, mut device, _) = setup(AdmissionPolicy::All { position: 0.5 }, 16);
-        let layout = BlockLayout::identity(64, 128);
-        let freq = AccessFrequency::zeros(64);
-        let mut sim = bandana_cache::PrefetchCacheSim::new(
-            &layout,
-            16,
-            AdmissionPolicy::All { position: 0.5 },
-            freq,
-        );
-        let stream: Vec<u32> = (0..200).map(|i| (i * 13) % 64).collect();
-        for &v in &stream {
-            table.lookup(&mut device, v).unwrap();
-            sim.lookup(v);
-        }
-        assert_eq!(table.metrics(), sim.metrics());
     }
 }

@@ -1,30 +1,34 @@
 //! A freelist of block-sized read buffers for an allocation-free miss path.
 //!
-//! Bandana's hot loop is the NVM miss read: fetch one 4 KB block, slice the
-//! requested vectors out of it, and park the slices in the DRAM cache. The
-//! naive implementation heap-allocates a fresh `Vec<u8>` per read. A
-//! [`BlockBufPool`] recycles those buffers instead: every buffer it hands
-//! out is an `Arc<Vec<u8>>`, the pool keeps one reference of its own, and a
-//! buffer becomes reusable the moment every outside reference (cache
-//! entries, in-flight payload slices) has been dropped — which the pool
-//! detects by the refcount returning to one. Steady-state reads then cycle
-//! through a handful of retained buffers and never touch the allocator.
+//! Bandana's hot loop is the NVM miss read: fetch one 4 KB block, copy the
+//! requested vectors out of it, and let the block go. The naive
+//! implementation heap-allocates a fresh `Vec<u8>` per read. A
+//! [`BlockBufPool`] recycles those buffers instead: a reader acquires one,
+//! fills it from the device, copies what it needs, and hands it back, so
+//! steady-state reads cycle through a handful of always-free buffers and
+//! never touch the allocator.
 //!
 //! # Ownership rules
 //!
+//! * Block buffers are **scoped to one read**. Nothing long-lived may alias
+//!   one: the table store copies each payload it keeps into its own cache
+//!   arena and each payload it returns into the caller's output buffer
+//!   before the block is recycled.
 //! * [`BlockBufPool::acquire`] returns a [`PooledBlock`] with *exclusive*
 //!   ownership: `as_mut_slice` is always available and the caller may fill
 //!   the buffer (e.g. via
 //!   [`BlockDevice::read_block_into`](crate::BlockDevice::read_block_into)).
-//! * [`PooledBlock::freeze`] ends the exclusive phase: the pool retains one
-//!   reference for future reuse and the caller gets the shared
-//!   `Arc<Vec<u8>>` back (typically wrapped in a `bytes::Bytes` view).
-//!   From that point the contents are immutable by convention — the pool
-//!   will not touch the bytes again until it can prove exclusivity.
-//! * A [`PooledBlock`] that is dropped without `freeze` returns to the pool
-//!   on the next `acquire` scan only if its buffer was retained earlier; a
-//!   never-frozen buffer is simply freed. Don't rely on drop-reclaim; call
-//!   `freeze` (or [`PooledBlock::recycle`]) on every acquired buffer.
+//! * [`PooledBlock::recycle`] hands the buffer straight back; the next
+//!   `acquire` reuses it. This is how the lookup paths end every read.
+//! * [`PooledBlock::freeze`] is for a reader that wants a shared read-only
+//!   handle instead: the pool keeps one reference, the caller gets the
+//!   `Arc<Vec<u8>>`, and the buffer is reused once the handle is dropped.
+//!   `acquire` inspects only the oldest retained buffer; if a handle still
+//!   pins it the pool lets that buffer go (the handle owns it from then on)
+//!   and allocates, so every acquire is O(1) however many handles are
+//!   outstanding. Drop the handle before the next read to keep the reuse.
+//! * A [`PooledBlock`] dropped without `recycle` or `freeze` is simply
+//!   freed.
 //!
 //! The pool is deliberately not thread-safe: each shard worker (or each
 //! lock-guarded device) owns its own pool, mirroring how per-core io_uring
@@ -33,16 +37,12 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Default number of retired buffers a pool keeps around for reuse.
+/// Default number of returned buffers a pool keeps around for reuse.
 ///
-/// Big enough to cover the blocks pinned by in-flight payloads plus the
-/// cache-resident generation in typical configurations; 32 × 4 KB = 128 KB
-/// per pool. Callers fronting a DRAM cache should size the pool to the
-/// cache instead ([`BlockBufPool::for_cache`]).
+/// Reads hold one buffer at a time, so this is headroom for callers that
+/// keep a few [`PooledBlock::freeze`] handles alive; 32 × 4 KB = 128 KB
+/// per pool.
 pub const DEFAULT_RETAINED: usize = 32;
-
-/// Retention cap for [`BlockBufPool::for_cache`] (16 MB of 4 KB buffers).
-const MAX_CACHE_RETAINED: usize = 4096;
 
 /// Reuse accounting for one [`BlockBufPool`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -53,8 +53,8 @@ pub struct PoolStats {
     pub reuses: u64,
     /// Acquires that had to allocate a fresh buffer.
     pub allocs: u64,
-    /// Buffers currently retained by the pool (reusable or still pinned by
-    /// outside references).
+    /// Buffers currently retained by the pool (reusable, or still pinned by
+    /// a [`PooledBlock::freeze`] handle).
     pub retained: u64,
 }
 
@@ -92,19 +92,18 @@ impl PoolStats {
 ///
 /// let mut buf = pool.acquire(dev.block_size());
 /// dev.read_block_into(2, buf.as_mut_slice())?;
-/// let shared = buf.freeze(&mut pool); // pool retains a reference
-/// drop(shared); // ...last outside reference gone: the buffer is reusable
+/// let first_byte = buf.as_slice()[0]; // copy out what the read was for...
+/// buf.recycle(&mut pool); // ...and hand the buffer back
 ///
 /// let _again = pool.acquire(dev.block_size());
 /// assert_eq!(pool.stats().reuses, 1);
+/// # let _ = first_byte;
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
 pub struct BlockBufPool {
-    /// Retired buffers, oldest first. Oldest buffers are the most likely to
-    /// have churned out of the caches holding slices into them, so reuse
-    /// scans run front-to-back.
+    /// Returned buffers, oldest first; `acquire` takes from the front.
     retained: VecDeque<Arc<Vec<u8>>>,
     max_retained: usize,
     stats: PoolStats,
@@ -122,17 +121,12 @@ impl BlockBufPool {
         BlockBufPool { retained: VecDeque::new(), max_retained, stats: PoolStats::default() }
     }
 
-    /// A pool sized for the read path of a DRAM cache holding `entries`
-    /// payload slices: in the worst case every cached entry pins a
-    /// distinct block buffer, so retention must exceed `entries` buffers
-    /// (plus headroom for buffers in flight between eviction and reuse) or
-    /// the reusable generation is dropped before the cache releases it.
-    /// Clamped to `[DEFAULT_RETAINED, 4096]` (at most 16 MB of 4 KB
-    /// buffers; beyond the cap the pool degrades gracefully to allocating
-    /// for the overflow share).
-    pub fn for_cache(entries: usize) -> Self {
-        let retained = entries + entries / 2 + DEFAULT_RETAINED;
-        BlockBufPool::new(retained.clamp(DEFAULT_RETAINED, MAX_CACHE_RETAINED))
+    /// The default pool. Block buffers are scoped to one read and never
+    /// pinned by cache entries, so a pool needs no sizing against the cache
+    /// in front of it; this constructor exists for callers (the repo
+    /// benchmark among them) that ask for a pool by cache size.
+    pub fn for_cache(_entries: usize) -> Self {
+        BlockBufPool::default()
     }
 
     /// Acquire/reuse/allocation counters and the current retained size.
@@ -142,34 +136,28 @@ impl BlockBufPool {
         s
     }
 
-    /// Hands out an exclusively-owned buffer of exactly `block_size` bytes,
-    /// recycling the oldest retained buffer whose outside references have
-    /// all been dropped, or allocating a fresh one.
+    /// Hands out an exclusively-owned buffer of exactly `block_size` bytes:
+    /// the oldest retained buffer if it is free, a fresh allocation
+    /// otherwise. O(1) — one buffer is inspected, never the whole pool.
     ///
     /// The contents are unspecified (stale bytes from an earlier read);
-    /// callers overwrite the whole buffer before freezing it.
+    /// callers overwrite the whole buffer before reading it.
     pub fn acquire(&mut self, block_size: usize) -> PooledBlock {
         self.stats.acquires += 1;
-        // Round-robin sweep: still-pinned buffers cycle to the back (so a
-        // buffer pinned long-term — e.g. by a hot cache entry that never
-        // churns — is inspected once per full cycle, not on every
-        // acquire) and the first free buffer wins. One full cycle without
-        // a hit proves nothing is free; then, and only then, allocate.
-        for _ in 0..self.retained.len() {
-            // `get_mut` succeeds only at refcount one: every cache slice
-            // into the buffer is gone and nothing observes a resize.
-            match Arc::get_mut(&mut self.retained[0]) {
-                Some(buf) => {
-                    if buf.len() != block_size {
-                        buf.clear();
-                        buf.resize(block_size, 0);
-                    }
-                    let arc = self.retained.pop_front().expect("scanned buffer exists");
-                    self.stats.reuses += 1;
-                    return PooledBlock { buf: arc };
+        if let Some(mut arc) = self.retained.pop_front() {
+            // `get_mut` succeeds only at refcount one: no frozen handle is
+            // alive and nothing observes a resize.
+            if let Some(buf) = Arc::get_mut(&mut arc) {
+                if buf.len() != block_size {
+                    buf.clear();
+                    buf.resize(block_size, 0);
                 }
-                None => self.retained.rotate_left(1),
+                self.stats.reuses += 1;
+                return PooledBlock { buf: arc };
             }
+            // Still pinned by a frozen handle: the handle keeps the memory
+            // alive and the pool forgets it, so a long-lived handle costs
+            // one allocation in total, not one inspection per acquire.
         }
         self.stats.allocs += 1;
         PooledBlock { buf: Arc::new(vec![0u8; block_size]) }
@@ -217,15 +205,15 @@ impl PooledBlock {
     }
 
     /// Ends the exclusive phase: the pool retains one reference for future
-    /// recycling and the shared buffer is returned to the caller, ready to
-    /// be wrapped in zero-copy `Bytes` views.
+    /// recycling and the caller gets a shared read-only handle; the buffer
+    /// is reusable once that handle is dropped.
     pub fn freeze(self, pool: &mut BlockBufPool) -> Arc<Vec<u8>> {
         pool.retire(Arc::clone(&self.buf));
         self.buf
     }
 
-    /// Returns the buffer to the pool unused (e.g. after a failed device
-    /// read) so the next acquire can recycle it immediately.
+    /// Returns the buffer to the pool so the next acquire reuses it — the
+    /// end of every read on the lookup paths.
     pub fn recycle(self, pool: &mut BlockBufPool) {
         pool.retire(self.buf);
     }
@@ -242,16 +230,29 @@ mod tests {
         b.as_mut_slice()[0] = 9;
         let shared = b.freeze(&mut pool);
         assert_eq!(shared[0], 9);
-        // Still pinned by `shared`: the next acquire must allocate.
-        let b2 = pool.acquire(64);
-        assert_eq!(pool.stats().allocs, 2);
         drop(shared);
-        // Unpinned now: reuse, and the old contents are still there until
+        // Unpinned: reuse, and the old contents are still there until
         // overwritten.
-        let b3 = pool.acquire(64);
+        let b2 = pool.acquire(64);
         assert_eq!(pool.stats().reuses, 1);
-        assert_eq!(b3.as_slice()[0], 9, "reused buffer keeps stale bytes");
-        drop((b2, b3));
+        assert_eq!(b2.as_slice()[0], 9, "reused buffer keeps stale bytes");
+    }
+
+    #[test]
+    fn a_pinned_buffer_costs_one_allocation_not_a_sweep() {
+        // One long-lived handle among recycled buffers: the pool lets the
+        // pinned buffer go the first time it comes up and every later read
+        // is served by the free ones.
+        let mut pool = BlockBufPool::new(8);
+        let pinned = pool.acquire(16).freeze(&mut pool);
+        pool.acquire(16).recycle(&mut pool);
+        assert_eq!(pool.stats().allocs, 2, "the pinned buffer is not handed out");
+        for _ in 0..100 {
+            pool.acquire(16).recycle(&mut pool);
+        }
+        let stats = pool.stats();
+        assert_eq!((stats.allocs, stats.reuses, stats.retained), (2, 100, 1));
+        assert_eq!(pinned.len(), 16, "the handle keeps its buffer");
     }
 
     #[test]
@@ -266,9 +267,9 @@ mod tests {
     #[test]
     fn retention_is_bounded() {
         let mut pool = BlockBufPool::new(2);
-        let held: Vec<_> = (0..5).map(|_| pool.acquire(8).freeze(&mut pool)).collect();
+        let out: Vec<_> = (0..5).map(|_| pool.acquire(8)).collect();
+        out.into_iter().for_each(|b| b.recycle(&mut pool));
         assert_eq!(pool.stats().retained, 2);
-        drop(held);
         assert_eq!(pool.acquire(8).as_slice().len(), 8);
         assert_eq!(pool.stats().reuses, 1);
     }

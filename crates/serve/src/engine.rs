@@ -50,7 +50,7 @@ use crate::tenant::{
     TenantSpec,
 };
 use crate::tuner::{OnlineTunerSettings, TunerController, TunerTable};
-use bandana_cache::{AdmissionPolicy, CacheMetrics};
+use bandana_cache::{AdmissionPolicy, CacheMetrics, IdHashMap};
 use bandana_core::{BandanaError, BandanaStore, BatchScratch, TableStore};
 use bandana_partition::BlockLayout;
 use bandana_persist::{
@@ -729,6 +729,9 @@ pub(crate) struct Shared {
     /// partition and always present, so snapshots and gauges report the
     /// split whether or not the controller is enabled.
     cache_partition: Mutex<Vec<TableCachePartition>>,
+    /// Payload bytes each table's DRAM cache holds, indexed by table id;
+    /// the owning shard worker stores it after every batch and resize.
+    cache_resident_bytes: Vec<AtomicU64>,
     /// Bounded ring of control-plane decisions (the bus records every
     /// applied [`Action`] here before applying it).
     audit: AuditLog,
@@ -869,6 +872,13 @@ impl Shared {
             latency,
             recent,
         }
+    }
+
+    /// Publishes `table`'s cached payload bytes for the
+    /// `bandana_table_cache_resident_bytes` gauge.
+    fn publish_cache_resident(&self, table: &TableStore) {
+        self.cache_resident_bytes[table.table_id()]
+            .store(table.cache_resident_bytes() as u64, Ordering::Relaxed);
     }
 
     /// Nanoseconds since the engine started (flight-recorder timestamps
@@ -1039,7 +1049,8 @@ impl Shared {
             ))?;
             // Coalesce duplicate ids within the query.
             let mut unique_ids: Vec<u32> = Vec::with_capacity(q.ids.len());
-            let mut index_of: HashMap<u32, usize> = HashMap::with_capacity(q.ids.len());
+            let mut index_of: IdHashMap<u32, usize> =
+                IdHashMap::with_capacity_and_hasher(q.ids.len(), Default::default());
             let mut expand = Vec::with_capacity(q.ids.len());
             for &v in &q.ids {
                 let next = unique_ids.len();
@@ -1273,6 +1284,11 @@ pub struct EngineMetrics {
     /// budget controller's latest target per table (targets equal the
     /// build-time split until a controller solves).
     pub cache_partition: Vec<TableCachePartition>,
+    /// Payload bytes each table's DRAM cache holds right now, indexed by
+    /// table id: entries × vector size, never more than
+    /// `(capacity_entries + 1) × vector size` of the capacity the table's
+    /// worker runs.
+    pub cache_resident_bytes: Vec<u64>,
     /// End-to-end latency of completed requests.
     pub latency: LatencySummary,
     /// Submission → start-of-service wait.
@@ -1712,7 +1728,6 @@ impl ShardedEngine {
                 }
             }
         }
-        let total_budget: usize = budget_tables.iter().map(|&(_, c)| c).sum();
 
         // The tenant table: the default tenant always sits at index 0;
         // registering TenantId::DEFAULT overrides its spec in place.
@@ -1766,6 +1781,7 @@ impl ShardedEngine {
                     })
                     .collect(),
             ),
+            cache_resident_bytes: (0..num_tables).map(|_| AtomicU64::new(0)).collect(),
             audit: AuditLog::new(DEFAULT_AUDIT_CAPACITY),
             persistence,
             recovery: RecoveryStats::default(),
@@ -1782,13 +1798,6 @@ impl ShardedEngine {
         let (budget_tx, budget_rx) = mpsc::sync_channel::<BudgetSample>(SAMPLE_CHANNEL_CAPACITY);
         let (co_tx, co_rx) = mpsc::sync_channel::<CoAccessSample>(SAMPLE_CHANNEL_CAPACITY);
         let mut command_txs: Vec<mpsc::Sender<ShardCommand>> = Vec::with_capacity(num_shards);
-
-        // With the budget controller on, a re-partition can hand any one
-        // table (hence any one shard) the whole budget, so each worker's
-        // block-buffer pool must be provisioned for the total — otherwise
-        // a grown cache would pin more buffers than the pool owns and the
-        // steady-state zero-allocation guarantee would break.
-        let pool_floor = if config.cache_budget.is_some() { total_budget } else { 0 };
 
         let batching = ShardBatching {
             window: config.batch_window,
@@ -1854,7 +1863,6 @@ impl ShardedEngine {
                         samples,
                         budget_samples,
                         co_samples,
-                        pool_floor,
                         restore,
                     )
                 })
@@ -2122,6 +2130,12 @@ impl ShardedEngine {
                 .lock()
                 .expect("cache partition lock")
                 .clone(),
+            cache_resident_bytes: self
+                .shared
+                .cache_resident_bytes
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect(),
             latency: e2e.summary(),
             queue_wait: breakdown.queue_wait,
             service: breakdown.service,
@@ -2504,6 +2518,9 @@ struct RoutedPart {
     pos_start: usize,
     /// Length of the run (== the part's `unique_ids` length).
     pos_len: usize,
+    /// Where the part's unique payloads start inside its job's buffer in
+    /// [`ShardWorker::job_payloads`].
+    buf_start: usize,
 }
 
 /// One table's deduplicated id set merged across every request in a
@@ -2511,7 +2528,7 @@ struct RoutedPart {
 #[derive(Debug, Default)]
 struct MergedTable {
     ids: Vec<u32>,
-    index_of: HashMap<u32, usize>,
+    index_of: IdHashMap<u32, usize>,
     /// The parts merged into `ids` this batch.
     parts: Vec<RoutedPart>,
     /// Concatenated per-part indices into `ids` (one run per part; a
@@ -2578,13 +2595,19 @@ fn charge_wall_clock(duration: Duration) {
 /// tables plus every piece of steady-state scratch — the cross-request
 /// merge maps, the batch scratch, and the block-buffer pool. One of these
 /// lives for the worker's lifetime so the hot loop allocates nothing
-/// after warmup.
+/// after warmup beyond what each response carries away.
 struct ShardWorker {
     device: RebasedDevice,
     tables: HashMap<usize, TableStore>,
     merge: MergeScratch,
     scratch: BatchScratch,
     pool: BlockBufPool,
+    /// One payload buffer per job of the micro-batch in flight, indexed
+    /// like the batch's job slice: every part this shard serves for the
+    /// job is copied into it, then the buffer is moved into the response
+    /// as the one allocation all of the job's `Bytes` views share. Empty
+    /// between batches.
+    job_payloads: Vec<Vec<u8>>,
 }
 
 /// The shard worker: drains its queue in micro-batches, applies tuner
@@ -2621,7 +2644,6 @@ fn shard_main(
     samples: Option<(mpsc::SyncSender<(usize, u32)>, u32)>,
     budget_samples: Option<(mpsc::SyncSender<BudgetSample>, u32)>,
     co_samples: Option<(mpsc::SyncSender<CoAccessSample>, u32)>,
-    pool_floor: usize,
     recovered: Option<ShardRecovered>,
 ) {
     let mut sample_tick: u32 = 0;
@@ -2635,19 +2657,13 @@ fn shard_main(
     // metrics show per-shard capacity even for an idle shard.
     shared.shard_stats[shard].lock().expect("shard stats lock").capacity_blocks =
         device.capacity_blocks();
-    // Pool retention scales with the shard's cache: a cached payload can
-    // pin its block buffer until eviction, and a dropped pool slot is a
-    // lost reuse. `pool_floor` raises the sizing to the engine-wide
-    // budget when the cache budget controller is on — a re-partition can
-    // grow any of this shard's tables well past its build-time share.
-    let cached_entries: usize =
-        tables.values().map(|t| t.cache_capacity()).sum::<usize>().max(pool_floor);
     let mut worker = ShardWorker {
         device,
         tables,
         merge: MergeScratch::default(),
         scratch: BatchScratch::new(),
-        pool: BlockBufPool::for_cache(cached_entries),
+        pool: BlockBufPool::default(),
+        job_payloads: Vec::new(),
     };
     // Warm restart: apply the recovered snapshot slice before touching
     // the queue, then report readiness — the builder holds admission
@@ -2687,6 +2703,7 @@ fn shard_main(
                 Err(_) => continue,
             }
         }
+        worker.tables.values().for_each(|t| shared.publish_cache_resident(t));
         shared.recovery.rehydrated_keys.fetch_add(rehydrated as u64, Ordering::Relaxed);
         let endurance = worker.device.endurance();
         let mut stats = shared.shard_stats[shard].lock().expect("shard stats lock");
@@ -2708,6 +2725,7 @@ fn shard_main(
                 ShardCommand::SetCachePartition { table, entries } => {
                     if let Some(t) = worker.tables.get_mut(&table) {
                         t.set_cache_capacity(entries);
+                        shared.publish_cache_resident(t);
                     }
                 }
                 ShardCommand::CollectSnapshot { reply } => {
@@ -2857,7 +2875,7 @@ fn process_batch(
             );
         }
     }
-    let ShardWorker { device, tables, merge, scratch, pool } = worker;
+    let ShardWorker { device, tables, merge, scratch, pool, job_payloads } = worker;
 
     // Decide, per job, whether this batch serves it.
     let mut serve: Vec<bool> = Vec::with_capacity(jobs.len());
@@ -2881,12 +2899,16 @@ fn process_batch(
     // built in the worker's persistent per-table maps. Ids are validated
     // here so one request's bad id fails that request alone, never the
     // whole merged submission; each part records where its unique ids
-    // landed in the merged list (a run inside `positions`).
+    // landed in the merged list (a run inside `positions`) and where its
+    // payloads go in the job's response buffer.
     merge.reset();
+    job_payloads.clear();
+    job_payloads.resize_with(jobs.len(), Vec::new);
     for (ji, job) in jobs.iter().enumerate() {
         if !serve[ji] {
             continue;
         }
+        let mut payload_bytes = 0;
         for (pi, part) in job.parts_by_shard[shard].iter().enumerate() {
             let table =
                 tables.get(&part.table).expect("dispatcher routes queries to the owning shard");
@@ -2916,13 +2938,18 @@ fn process_batch(
                 part: pi,
                 pos_start,
                 pos_len: part.unique_ids.len(),
+                buf_start: payload_bytes,
             });
+            payload_bytes += part.unique_ids.len() * table.vector_bytes();
+        }
+        if job.want_payloads {
+            job_payloads[ji].resize(payload_bytes, 0);
         }
     }
 
-    // One submission per table, scattered back to its routed parts before
-    // the scratch is reused by the next table; count the block reads the
-    // whole merged batch actually cost.
+    // One submission per table, its payloads copied out to the routed
+    // parts' jobs before the scratch is reused by the next table; count
+    // the block reads the whole merged batch actually cost.
     let reads_before = device.counters().reads;
     let mut local_lookups = 0u64;
     for (&t, m) in &merge.tables {
@@ -2932,7 +2959,7 @@ fn process_batch(
         let table = tables.get_mut(&t).expect("merged tables are owned by this shard");
         match table.lookup_batch_with(device, &m.ids, scratch, pool) {
             Ok(()) => {
-                let payloads = scratch.out();
+                let vector_bytes = table.vector_bytes();
                 for rp in &m.parts {
                     let job = &jobs[rp.job];
                     let part = &job.parts_by_shard[shard][rp.part];
@@ -2978,10 +3005,11 @@ fn process_batch(
                     }
                     if job.want_payloads {
                         let positions = &m.positions[rp.pos_start..rp.pos_start + rp.pos_len];
-                        let expanded: Vec<Bytes> =
-                            part.expand.iter().map(|&u| payloads[positions[u]].clone()).collect();
-                        let mut st = job.state.lock().expect("job lock");
-                        st.results[part.query_index] = Some(expanded);
+                        let run =
+                            &mut job_payloads[rp.job][rp.buf_start..][..rp.pos_len * vector_bytes];
+                        for (dst, &p) in run.chunks_exact_mut(vector_bytes).zip(positions) {
+                            dst.copy_from_slice(scratch.payload(p));
+                        }
                     }
                 }
             }
@@ -3054,11 +3082,34 @@ fn process_batch(
                 continue;
             }
             let queue_wait = started.saturating_duration_since(job.arrival);
-            let mut st = job.state.lock().expect("job lock");
-            st.queue_wait = st.queue_wait.max(queue_wait);
-            st.service = st.service.max(service_elapsed);
-            if device_s > st.device_s {
-                st.device_s = device_s;
+            let failed = {
+                let mut st = job.state.lock().expect("job lock");
+                st.queue_wait = st.queue_wait.max(queue_wait);
+                st.service = st.service.max(service_elapsed);
+                if device_s > st.device_s {
+                    st.device_s = device_s;
+                }
+                st.error.is_some()
+            };
+            // Hand the job its payloads: the buffer becomes the response's
+            // own allocation and each part gets views of it, so nothing a
+            // client holds (or drops, on its own thread) is shared with the
+            // cache, the pool or this worker. A job without an error had
+            // every part routed, in order, so the parts' runs sit back to
+            // back in the buffer; a failed job's response carries no parts.
+            if job.want_payloads && !failed {
+                let payloads = Bytes::from(std::mem::take(&mut job_payloads[ji]));
+                let mut at = 0;
+                for part in &job.parts_by_shard[shard] {
+                    let vb = tables[&part.table].vector_bytes();
+                    let expanded: Vec<Bytes> = part
+                        .expand
+                        .iter()
+                        .map(|&u| payloads.slice(at + u * vb..at + (u + 1) * vb))
+                        .collect();
+                    at += part.unique_ids.len() * vb;
+                    job.state.lock().expect("job lock").results[part.query_index] = Some(expanded);
+                }
             }
         }
         let mut stats = shared.shard_stats[shard].lock().expect("shard stats lock");
@@ -3081,6 +3132,7 @@ fn process_batch(
         let mut cache = CacheMetrics::new();
         for t in tables.values() {
             cache.merge(t.metrics());
+            shared.publish_cache_resident(t);
         }
         stats.cache = cache;
         stats.device_reads = device.counters().reads;

@@ -18,7 +18,9 @@
 //!   [`BlockBufPool`](nvm_sim::BlockBufPool), and the cross-request merge
 //!   reuses its per-table maps, so once warmed the lookup path performs
 //!   no heap allocation ([`EngineMetrics::pool`] reports the buffer reuse
-//!   rate).
+//!   rate). A response's payloads are copied into one buffer per job per
+//!   shard and handed out as views of it: what a client holds shares
+//!   nothing with the cache, the pool or the worker.
 //! * **Cross-request micro-batching**
 //!   ([`ServeConfig::with_batch_window`] /
 //!   [`ServeConfig::with_max_batch`]): each shard keeps a short window

@@ -970,6 +970,20 @@ pub fn render_prometheus(metrics: &EngineMetrics, snapshot: &EngineSnapshot) -> 
             p.target_entries as f64,
         );
     }
+    head(
+        &mut out,
+        "bandana_table_cache_resident_bytes",
+        "gauge",
+        "Payload bytes each table's DRAM cache holds (entries x vector size).",
+    );
+    for (table, &bytes) in m.cache_resident_bytes.iter().enumerate() {
+        put(
+            &mut out,
+            "bandana_table_cache_resident_bytes",
+            &format!("table=\"{table}\""),
+            bytes as f64,
+        );
+    }
     head(&mut out, "bandana_control_tick", "gauge", "Current bus tick.");
     put(&mut out, "bandana_control_tick", "", snapshot.tick as f64);
     head(&mut out, "bandana_uptime_seconds", "gauge", "Engine uptime.");
@@ -1388,6 +1402,7 @@ mod tests {
                 capacity_entries: 512,
                 target_entries: 640,
             }],
+            cache_resident_bytes: vec![65_536],
             latency: summary(11),
             queue_wait: summary(12),
             service: summary(13),
@@ -1564,6 +1579,7 @@ mod tests {
             "bandana_blocks_per_request_ideal 1.25",
             "bandana_table_cache_capacity_entries{table=\"0\"} 512",
             "bandana_table_cache_target_entries{table=\"0\"} 640",
+            "bandana_table_cache_resident_bytes{table=\"0\"} 65536",
             "bandana_control_tick 212",
             "bandana_uptime_seconds 3",
             "bandana_window_span_seconds 0.4",

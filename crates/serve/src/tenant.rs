@@ -266,7 +266,10 @@ impl ResponseStatus {
 pub struct Response {
     /// Per-query payloads in request order: `parts[q][i]` is the payload
     /// of `request.queries[q].ids[i]` (duplicates included). Empty unless
-    /// [`Response::status`] is [`ResponseStatus::Ok`].
+    /// [`Response::status`] is [`ResponseStatus::Ok`]. The payloads are
+    /// views of buffers this response owns (one per shard that served it):
+    /// holding or dropping them never touches the engine's cache or its
+    /// workers.
     pub parts: Vec<Vec<Bytes>>,
     /// How the request ended.
     pub status: ResponseStatus,

@@ -271,3 +271,86 @@ fn custom_controllers_drive_batch_window_and_lane_caps() {
         m.batching
     );
 }
+
+#[test]
+fn cache_residency_stays_inside_the_memory_model_across_repartitions() {
+    use bandana::serve::CacheBudgetSettings;
+
+    let (store, _) = build_store(66);
+    let vector_bytes = store.vector_bytes() as u64;
+    let engine = ShardedEngine::new(
+        store,
+        ServeConfig::default()
+            .with_shards(1)
+            .with_control(ControlConfig { tick: Duration::from_millis(1), ..fast_control() })
+            .with_cache_budget(CacheBudgetSettings {
+                window_lookups: 256,
+                granularity: 32,
+                ..CacheBudgetSettings::default()
+            }),
+    )
+    .expect("engine");
+    let total: u64 =
+        engine.metrics().cache_partition.iter().map(|p| p.capacity_entries as u64).sum();
+
+    // The memory model, read off the exported gauges alone: a table's
+    // cache holds at most (capacity + 1) vectors' worth of bytes. While a
+    // re-partition is in flight the control plane's capacity can run ahead
+    // of the worker's by one command, so the per-table bound is checked at
+    // rest; the engine-wide one — no cache ever outgrows the whole budget —
+    // is checked on every sample.
+    let within_model = |m: &bandana::serve::EngineMetrics| {
+        m.cache_partition.iter().all(|p| {
+            m.cache_resident_bytes[p.table] <= (p.capacity_entries as u64 + 1) * vector_bytes
+        })
+    };
+    let mut rng = 7u64;
+    let mut lcg = move |keys: u32| {
+        rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ((rng >> 33) as u32) % keys
+    };
+    let share = |m: &bandana::serve::EngineMetrics, table: usize| {
+        m.cache_partition.iter().find(|p| p.table == table).expect("table").capacity_entries
+    };
+    // Drives one table over a wide working set and the other over 4 keys
+    // until the controller has handed the wide one the larger share.
+    let mut favour = |hot: usize| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while {
+            let m = engine.metrics();
+            share(&m, hot) <= share(&m, 1 - hot)
+        } {
+            assert!(Instant::now() < deadline, "no re-partition towards table {hot}");
+            for _ in 0..64 {
+                let wide: Vec<u32> = (0..8).map(|_| lcg(1500)).collect();
+                let mut queries =
+                    vec![TableQuery::new(hot, wide), TableQuery::new(1 - hot, vec![lcg(4)])];
+                queries.sort_by_key(|q| q.table);
+                engine.submit(&Request { queries }).expect("submit");
+            }
+            engine.drain();
+            let m = engine.metrics();
+            for (table, &bytes) in m.cache_resident_bytes.iter().enumerate() {
+                assert!(bytes <= (total + 1) * vector_bytes, "table {table} outgrew the budget");
+            }
+        }
+        wait_for("the worker to apply the partition", || within_model(&engine.metrics()));
+        engine.metrics()
+    };
+
+    // There: table 1 (the smaller share at build time) wins the budget and
+    // fills it. Back: table 0 does, and table 1's arena — full by now — has
+    // to be cut down to its new share.
+    let there = favour(1);
+    assert!(there.cache_resident_bytes[1] > 0, "the gauge never moved: {there:?}");
+    let back = favour(0);
+    assert!(share(&back, 1) < share(&there, 1), "the round trip must shrink table 1");
+    assert!(
+        back.cache_resident_bytes[1] < there.cache_resident_bytes[1],
+        "a shrunk cache must give its bytes back: {} -> {}",
+        there.cache_resident_bytes[1],
+        back.cache_resident_bytes[1]
+    );
+    let text = bandana::serve::render_prometheus(&back, &engine.snapshot());
+    assert!(text.contains("bandana_table_cache_resident_bytes{table=\"1\"}"), "{text}");
+}

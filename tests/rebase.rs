@@ -91,18 +91,17 @@ proptest! {
             carve_tables[*ti]
                 .lookup_batch_with(&mut carve, ids, &mut scratch, &mut carve_pool)
                 .unwrap();
-            let carve_out: Vec<Vec<u8>> =
-                scratch.out().iter().map(|b| b.as_ref().to_vec()).collect();
+            // The flat output is only valid until the scratch's next call.
+            let carve_out = scratch.out().to_vec();
             dense_tables[*ti]
                 .lookup_batch_with(&mut dense, ids, &mut scratch, &mut dense_pool)
                 .unwrap();
-            prop_assert_eq!(carve_out.len(), scratch.out().len());
-            for (i, (c, d)) in carve_out.iter().zip(scratch.out()).enumerate() {
-                prop_assert_eq!(c.as_slice(), d.as_ref(), "payload {} diverged", i);
+            prop_assert_eq!(carve_out.as_slice(), scratch.out(), "payloads diverged");
+            for (i, &v) in ids.iter().enumerate() {
                 // And both match the ground-truth embedding bytes.
                 prop_assert_eq!(
-                    c.as_slice(),
-                    embeddings[*ti].vector_as_bytes(ids[i]).as_slice(),
+                    scratch.payload(i),
+                    embeddings[*ti].vector_as_bytes(v).as_slice(),
                     "payload {} corrupt", i
                 );
             }

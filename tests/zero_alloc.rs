@@ -4,9 +4,10 @@
 //! copy — the library workspace forbids `unsafe`, but a test crate may
 //! carry the one narrowly-scoped `unsafe impl`) and asserts that a warmed
 //! [`TableStore::lookup_batch_with`] performs **zero** heap allocations:
-//! the miss plan lives in the reusable [`BatchScratch`], block reads
-//! recycle buffers from a [`BlockBufPool`], and payloads are zero-copy
-//! slices of the pooled blocks.
+//! the miss plan and the flat output buffer live in the reusable
+//! [`BatchScratch`], block reads recycle buffers from a [`BlockBufPool`],
+//! and payloads are copied — block to cache arena, arena or block to the
+//! output — never allocated for.
 //!
 //! The counter is per-thread (const-initialized TLS, safe to touch inside
 //! the allocator), so the test harness's other threads cannot pollute the
@@ -135,7 +136,59 @@ fn steady_state_lookup_batch_performs_zero_heap_allocations() {
     // And the payloads are still byte-exact.
     table.lookup_batch_with(&mut device, &[5, 77, 210], &mut scratch, &mut pool).unwrap();
     for (i, &v) in [5u32, 77, 210].iter().enumerate() {
-        assert_eq!(scratch.out()[i].as_ref(), emb.vector_as_bytes(v).as_slice(), "vector {v}");
+        assert_eq!(scratch.payload(i), emb.vector_as_bytes(v).as_slice(), "vector {v}");
+    }
+}
+
+#[test]
+fn a_large_mostly_hit_cache_stays_allocation_free() {
+    // The shape that used to allocate on the hit-heavy path: a cache of
+    // more than 4 096 entries (past the old pool's retention cap, so
+    // pinned block buffers overflowed it) at ~97 % hits. 16 384 vectors,
+    // 16 per block, an 8 192-entry cache; each 32-id batch takes 31 ids
+    // from a 6 000-vector hot set and one, fresh every time, from the cold
+    // tail.
+    let spec = TableSpec::test_small(16_384);
+    let topics = TopicModel::new(&spec, 7);
+    let emb = EmbeddingTable::synthesize(16_384, 8, &topics, 11); // 32 B vectors
+    let layout = BlockLayout::identity(16_384, 16);
+    let mut device =
+        NvmDevice::new(NvmConfig::optane_375gb().with_capacity_blocks(layout.num_blocks() as u64));
+    let freq = AccessFrequency::zeros(16_384);
+    let mut table = TableStore::new(0, layout, freq, AdmissionPolicy::None, 8_192, 1.5, 0, 32);
+    table.write_embeddings(&mut device, &emb).unwrap();
+    let mut scratch = BatchScratch::new();
+    let mut pool = BlockBufPool::for_cache(table.cache_capacity());
+
+    let batches: Vec<Vec<u32>> = (0..3_000u32)
+        .map(|b| {
+            let mut ids: Vec<u32> = (0..31).map(|i| (b * 31 + i) * 7 % 6_000).collect();
+            ids.push(6_000 + (b * 17) % 10_384);
+            ids
+        })
+        .collect();
+    let mut replay = |table: &mut TableStore, device: &mut NvmDevice, batches: &[Vec<u32>]| {
+        for ids in batches {
+            table.lookup_batch_with(device, ids, &mut scratch, &mut pool).unwrap();
+        }
+    };
+    let (warmup, measured) = batches.split_at(2_400);
+    replay(&mut table, &mut device, warmup);
+    assert_eq!(table.cache_snapshot().len(), 8_192, "cache must be full, so misses evict");
+
+    table.reset_metrics();
+    let before = thread_allocations();
+    replay(&mut table, &mut device, measured);
+    let allocations = thread_allocations() - before;
+    let m = *table.metrics();
+    assert_eq!(allocations, 0, "hit-heavy steady state allocated (pool {:?})", pool.stats());
+    assert!(m.hits as f64 >= 0.96 * m.lookups as f64, "not hit-heavy: {m:?}");
+    assert!(m.misses > 0 && m.evictions > 0, "the pass must also miss and evict: {m:?}");
+    assert!(pool.stats().retained <= 2, "block buffers must not accumulate: {:?}", pool.stats());
+
+    table.lookup_batch_with(&mut device, &[5, 7_777], &mut scratch, &mut pool).unwrap();
+    for (i, &v) in [5u32, 7_777].iter().enumerate() {
+        assert_eq!(scratch.payload(i), emb.vector_as_bytes(v).as_slice(), "vector {v}");
     }
 }
 
