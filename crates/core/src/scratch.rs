@@ -10,32 +10,44 @@
 //!
 //! # Ownership rules
 //!
-//! * A scratch is **exclusive to one call at a time** and carries no state
-//!   between calls beyond capacity: every
-//!   [`lookup_batch_with`](crate::TableStore::lookup_batch_with) resets it
-//!   before use. It may therefore be shared freely *across* tables —
+//! * A scratch belongs to **one batch at a time**, and a batch has two
+//!   halves: [`plan_batch`](crate::TableStore::plan_batch) resets the
+//!   scratch, copies every cache hit into the output (hits are served from
+//!   DRAM there and then, before any read is submitted) and leaves the
+//!   sorted miss plan behind; [`fill_batch`](crate::TableStore::fill_batch)
+//!   consumes that plan block by block. Between the two the scratch *is*
+//!   the batch — nothing else may use it.
+//!   [`lookup_batch_with`](crate::TableStore::lookup_batch_with) runs both
+//!   halves back to back.
+//! * Between batches a scratch carries nothing but capacity, so whole
+//!   calls may share one freely *across* tables —
 //!   [`ConcurrentStore`](crate::ConcurrentStore) keeps one next to the
-//!   device lock and each `bandana-serve` shard worker owns one for all
-//!   its tables.
+//!   device lock. A caller that plans several tables before filling any
+//!   (a `bandana-serve` shard worker submits a micro-batch's reads for all
+//!   its tables at once) needs one scratch per table in flight.
 //! * The output is one flat byte buffer the lookup **copies** every payload
 //!   into — hits from the table's cache arena, misses from the block just
 //!   read — so nothing in it aliases cache or device memory.
 //!   [`BatchScratch::out`] and [`BatchScratch::payload`] borrow the results
-//!   of the **most recent** call and are valid until the next one reuses
-//!   the buffer; copy what must outlive that.
+//!   of the **most recent** batch and are valid until the next plan reuses
+//!   the buffer; copy what must outlive that. After a plan alone only the
+//!   hit positions hold payloads.
 //! * Dropping a scratch is always safe; it owns no device or cache
 //!   resources.
 
 use bytes::Bytes;
 
-/// Reusable working memory for [`TableStore::lookup_batch_with`](crate::TableStore::lookup_batch_with)
-/// (miss plan, flat output buffer, requested-slot bitset).
+/// Reusable working memory for a batched lookup —
+/// [`TableStore::lookup_batch_with`](crate::TableStore::lookup_batch_with)
+/// or its plan/fill halves (miss plan, flat output buffer, requested-slot
+/// bitset).
 ///
 /// See the [module docs](self) for the ownership rules.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     /// The miss plan: one `(block, position-in-ids)` pair per missed
-    /// lookup, sorted by block (then position) before the read phase.
+    /// lookup, sorted by block (then position) by the plan half and walked
+    /// by the fill half.
     pub(crate) misses: Vec<(u32, u32)>,
     /// The payloads of the last call, back to back in `ids` order:
     /// `vector_bytes` bytes per id.

@@ -40,8 +40,8 @@ pub struct TableStore {
     /// build can reproduce.
     layout_epoch: u64,
     /// Working memory for the convenience APIs ([`TableStore::lookup`],
-    /// [`TableStore::lookup_batch`]); the `*_with` variants take external
-    /// state instead so shard workers can share one per worker.
+    /// [`TableStore::lookup_batch`]); the `*_with` and plan/fill variants
+    /// take external state instead so shard workers own theirs.
     scratch: BatchScratch,
     pool: BlockBufPool,
 }
@@ -560,7 +560,12 @@ impl TableStore {
     /// call. After a few calls have warmed the scratch and pool to the
     /// workload's batch shape, a steady-state call performs **zero heap
     /// allocations** — the property the serving engine's shard workers (one
-    /// scratch + pool per worker) rely on.
+    /// scratch per table + one pool per worker) rely on.
+    ///
+    /// This is [`TableStore::plan_batch`] followed by
+    /// [`TableStore::fill_batch`] with nothing to do before each read; a
+    /// caller that has somewhere better to be while the device works calls
+    /// the halves itself.
     ///
     /// # Errors
     ///
@@ -573,6 +578,31 @@ impl TableStore {
         scratch: &mut BatchScratch,
         pool: &mut BlockBufPool,
     ) -> Result<(), BandanaError> {
+        self.plan_batch(ids, scratch)?;
+        self.fill_batch(device, ids, scratch, pool, || {})
+    }
+
+    /// The DRAM half of a batched lookup: validates `ids`, probes the cache
+    /// for each (hits are promoted and copied into `scratch` right here —
+    /// they never wait on the device), and leaves the sorted miss plan in
+    /// `scratch`. Returns the number of **distinct blocks** the plan
+    /// covers: exactly the block reads the matching
+    /// [`TableStore::fill_batch`] will issue, known before any I/O so the
+    /// caller can submit them all to the device at once.
+    ///
+    /// `scratch` now carries this batch's state; hand the same `ids` and
+    /// `scratch` to `fill_batch` next, with no other call on this table or
+    /// that scratch in between.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BandanaError::NoSuchVector`] if *any* id is out of range —
+    /// checked up front, before any counter moves.
+    pub fn plan_batch(
+        &mut self,
+        ids: &[u32],
+        scratch: &mut BatchScratch,
+    ) -> Result<usize, BandanaError> {
         for &v in ids {
             if v >= self.num_vectors {
                 return Err(BandanaError::NoSuchVector {
@@ -595,7 +625,35 @@ impl TableStore {
         // deterministic ascending-block read order the old per-call
         // `BTreeMap<u32, Vec<usize>>` produced, without its allocations.
         scratch.misses.sort_unstable();
+        Ok(scratch.misses.chunk_by(|a, b| a.0 == b.0).count())
+    }
 
+    /// The device half of a batched lookup: walks the miss plan
+    /// [`TableStore::plan_batch`] left in `scratch` one block at a time, in
+    /// ascending block order — calls `before_read`, reads the block, copies
+    /// the demanded payloads out, admits them and the block's neighbours to
+    /// the cache, recycles the buffer. `before_read` therefore runs exactly
+    /// once ahead of every block read and is the caller's place to wait for
+    /// that read's completion; everything between two calls is CPU work
+    /// that overlaps the reads still in flight.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors; the blocks after the failing one are
+    /// neither awaited nor read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ids` is not the length `scratch` was planned for.
+    pub fn fill_batch(
+        &mut self,
+        device: &mut dyn BlockDevice,
+        ids: &[u32],
+        scratch: &mut BatchScratch,
+        pool: &mut BlockBufPool,
+        mut before_read: impl FnMut(),
+    ) -> Result<(), BandanaError> {
+        assert_eq!(scratch.out.len(), ids.len() * self.vector_bytes, "ids changed since the plan");
         let vectors_per_block = self.layout.vectors_per_block();
         let mut group = 0;
         while group < scratch.misses.len() {
@@ -603,6 +661,7 @@ impl TableStore {
             let end =
                 group + scratch.misses[group..].iter().take_while(|&&(b, _)| b == block).count();
 
+            before_read();
             self.metrics.block_reads += 1;
             let buf = self.read_block_pooled(device, pool, block)?;
             let raw = buf.as_slice();

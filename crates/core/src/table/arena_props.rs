@@ -7,8 +7,10 @@
 use super::tests::setup_blocks;
 use super::*;
 use bandana_cache::PrefetchCacheSim;
-use nvm_sim::NvmDevice;
+use nvm_sim::{IoCounters, NvmDevice, NvmError};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 const VECTORS: u32 = 96;
 const PER_BLOCK: usize = 8;
@@ -22,6 +24,39 @@ fn store(policy: AdmissionPolicy, cache: usize) -> (TableStore, NvmDevice, Embed
 fn table_over(layout: BlockLayout, policy: AdmissionPolicy, cache: usize) -> TableStore {
     let freq = AccessFrequency::zeros(VECTORS);
     TableStore::new(0, layout, freq, policy, cache, 1.5, 0, VECTOR_BYTES)
+}
+
+/// A device that publishes its read count where a `before_read` hook can
+/// see it — the hook cannot borrow the device `fill_batch` is holding.
+struct CountedReads {
+    inner: NvmDevice,
+    reads: Arc<AtomicU64>,
+}
+
+impl BlockDevice for CountedReads {
+    fn block_size(&self) -> usize {
+        self.inner.block_size()
+    }
+    fn capacity_blocks(&self) -> u64 {
+        self.inner.capacity_blocks()
+    }
+    fn read_block(&mut self, block: u64) -> Result<Vec<u8>, NvmError> {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.read_block(block)
+    }
+    fn read_block_into(&mut self, block: u64, buf: &mut [u8]) -> Result<(), NvmError> {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.read_block_into(block, buf)
+    }
+    fn write_block(&mut self, block: u64, data: &[u8]) -> Result<(), NvmError> {
+        self.inner.write_block(block, data)
+    }
+    fn counters(&self) -> IoCounters {
+        self.inner.counters()
+    }
+    fn reset_counters(&mut self) {
+        self.inner.reset_counters()
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -140,5 +175,50 @@ proptest! {
             prop_assert_eq!(table.metrics(), sim.metrics());
         }
         check(&table, &emb);
+    }
+
+    #[test]
+    fn plan_then_fill_is_lookup_batch_with_whenever_the_reads_are_awaited(
+        batches in proptest::collection::vec(proptest::collection::vec(0u32..VECTORS, 0..24), 1..30),
+        position in 0u32..4,
+        cache in 16usize..64,
+    ) {
+        // Twin stores, one served whole and one in halves with a hook
+        // between every pair of reads: splitting the call moves *when* the
+        // device is touched, never what the cache or the caller sees.
+        let policy = AdmissionPolicy::All { position: f64::from(position) * 0.3 };
+        let (mut whole, mut whole_device, emb) = store(policy, cache);
+        let (mut halves, inner, _) = store(policy, cache);
+        let reads = Arc::new(AtomicU64::new(0));
+        let mut halves_device = CountedReads { inner, reads: Arc::clone(&reads) };
+        let (mut whole_scratch, mut halves_scratch) = (BatchScratch::new(), BatchScratch::new());
+        let (mut whole_pool, mut halves_pool) = (BlockBufPool::default(), BlockBufPool::default());
+        for ids in batches {
+            whole.lookup_batch_with(&mut whole_device, &ids, &mut whole_scratch, &mut whole_pool).unwrap();
+
+            let planned = halves.plan_batch(&ids, &mut halves_scratch).unwrap() as u64;
+            let before = reads.load(Ordering::Relaxed);
+            prop_assert_eq!(halves.metrics().block_reads, before, "the plan half must not read");
+            let mut calls = 0u64;
+            halves
+                .fill_batch(&mut halves_device, &ids, &mut halves_scratch, &mut halves_pool, || {
+                    calls += 1;
+                    // Exactly once ahead of each read: every earlier block
+                    // has been read, this one has not.
+                    assert_eq!(reads.load(Ordering::Relaxed) - before, calls - 1);
+                })
+                .unwrap();
+            prop_assert_eq!(calls, planned, "one hook call per planned block");
+            prop_assert_eq!(reads.load(Ordering::Relaxed) - before, planned, "the plan counts the reads");
+
+            prop_assert_eq!(halves_scratch.out(), whole_scratch.out());
+            for (i, &v) in ids.iter().enumerate() {
+                prop_assert_eq!(halves_scratch.payload(i), emb.vector_as_bytes(v).as_slice());
+            }
+            prop_assert_eq!(halves.metrics(), whole.metrics());
+            prop_assert_eq!(halves.cache_snapshot(), whole.cache_snapshot());
+            prop_assert_eq!(halves_device.counters().reads, whole_device.counters().reads);
+            check(&halves, &emb);
+        }
     }
 }

@@ -15,6 +15,14 @@
 //! dominated by a base service time plus a small per-outstanding-request
 //! contention term; at saturation Little's law pins latency to
 //! `qd * block_size / max_bandwidth`.
+//!
+//! [`QueueDepthTracker`] turns the model into a bounded-depth submission
+//! queue a serving shard charges its block reads through. A batch is
+//! submitted up front and reaped read by read: the tracker's schedule gives
+//! every read a *completion offset* — seconds from the batch's submission
+//! to that read's retirement — so the host can touch each block when it
+//! arrives and do its CPU work under the reads still in flight, paying
+//! about max(software, device) per batch rather than their sum.
 
 use serde::{Deserialize, Serialize};
 
@@ -191,6 +199,18 @@ impl DepthStats {
 /// the bandwidth ceiling). The depth can never go negative: completions on
 /// an idle device are ignored.
 ///
+/// # Completion offsets
+///
+/// A batch is submitted at one instant and its reads retire one by one,
+/// oldest first. The **completion offset** of a read is the virtual clock
+/// at its retirement, in seconds from the batch's submission: the sum of
+/// every completion step up to and including its own. Offsets are
+/// therefore non-decreasing and the last one is the batch's whole device
+/// time — [`QueueDepthTracker::charge_batch`] returns exactly that, and
+/// [`QueueDepthTracker::schedule_batch`] additionally hands every offset
+/// to the caller, who can then reap each read when the model says it
+/// arrived and keep working while the later ones are still in flight.
+///
 /// # Example
 ///
 /// ```
@@ -205,6 +225,12 @@ impl DepthStats {
 /// assert!(batch < 64.0 * s);
 /// assert_eq!(t.depth(), 0);
 /// assert_eq!(t.stats().peak_depth, 4);
+/// // ...and its reads arrive one by one, the last at the batch total.
+/// let mut done_at = Vec::new();
+/// let total = t.schedule_batch(64, &mut done_at);
+/// assert_eq!(done_at.len(), 64);
+/// assert_eq!(done_at.last(), Some(&total));
+/// assert!(done_at[0] < total / 16.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct QueueDepthTracker {
@@ -291,15 +317,43 @@ impl QueueDepthTracker {
         total
     }
 
-    /// Charges a whole batch of reads synchronously: submits each read
-    /// (completing the oldest when the in-flight bound is hit) and then
-    /// drains, returning the total simulated device seconds the batch took.
+    /// Charges a whole batch of reads: submits each read (completing the
+    /// oldest when the in-flight bound is hit) and then drains, returning
+    /// the total simulated device seconds the batch took — the completion
+    /// offset of its last read.
     pub fn charge_batch(&mut self, reads: u64) -> f64 {
-        let mut total = 0.0;
+        self.run_batch(reads, |_| {})
+    }
+
+    /// [`QueueDepthTracker::charge_batch`] that also reports *when* each
+    /// read completes: `done_at` is cleared and filled with one completion
+    /// offset per read retired, oldest first (see the type docs). On an
+    /// idle tracker — the only state a batch call leaves behind — that is
+    /// exactly `reads` entries, and the return value is the last of them
+    /// (`0.0` for an empty batch). Accounting is identical to
+    /// `charge_batch(reads)`; the caller owns the buffer so a warmed one
+    /// makes the call allocation-free.
+    pub fn schedule_batch(&mut self, reads: u64, done_at: &mut Vec<f64>) -> f64 {
+        done_at.clear();
+        self.run_batch(reads, |at| done_at.push(at))
+    }
+
+    /// The one submit/complete loop behind both batch forms: `retired` sees
+    /// the virtual clock at every completion.
+    fn run_batch(&mut self, reads: u64, mut retired: impl FnMut(f64)) -> f64 {
+        let mut clock = 0.0;
         for _ in 0..reads {
-            total += self.submit();
+            if self.inflight >= self.max_inflight {
+                clock += self.complete();
+                retired(clock);
+            }
+            self.submit();
         }
-        total + self.drain()
+        while self.inflight > 0 {
+            clock += self.complete();
+            retired(clock);
+        }
+        clock
     }
 }
 
@@ -441,6 +495,44 @@ mod tests {
         assert_eq!(merged.completed, 30);
         assert_eq!(merged.peak_depth, 8);
         assert!((merged.busy_s - (a.stats().busy_s + b.stats().busy_s)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn schedule_is_charge_batch_with_the_completion_times_written_down() {
+        let m = QueueModel::optane();
+        for depth in 1..=8u32 {
+            // Twins carry their accounting across batch sizes, so the
+            // cumulative stats are compared too, not just per-call totals.
+            let mut charged = QueueDepthTracker::new(m, depth);
+            let mut scheduled = QueueDepthTracker::new(m, depth);
+            let mut done_at = vec![f64::NAN; 3]; // stale contents must go
+            for n in 0..=300u64 {
+                let total = charged.charge_batch(n);
+                let last = scheduled.schedule_batch(n, &mut done_at);
+                assert_eq!(last.to_bits(), total.to_bits(), "depth {depth} n {n}");
+                assert_eq!(done_at.len() as u64, n, "depth {depth} n {n}");
+                assert_eq!(done_at.last().copied().unwrap_or(0.0).to_bits(), total.to_bits());
+                assert!(done_at.windows(2).all(|w| w[0] <= w[1]), "depth {depth} n {n}");
+                assert!(done_at.first().is_none_or(|&first| first > 0.0));
+                assert_eq!(scheduled.stats(), charged.stats(), "depth {depth} n {n}");
+                assert_eq!(scheduled.depth(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn schedule_retires_the_first_reads_long_before_the_last() {
+        // Depth 4, 131 reads (the nvm_bound batch shape): the first block
+        // is there after one depth-4 completion step, not after the whole
+        // batch — the window the host's CPU work hides in.
+        let m = QueueModel::optane();
+        let mut t = QueueDepthTracker::new(m, 4);
+        let mut done_at = Vec::new();
+        let total = t.schedule_batch(131, &mut done_at);
+        assert!((done_at[0] - m.mean_latency(4) / 4.0).abs() < 1e-15);
+        assert!(done_at[0] < total / 100.0, "first {} of total {total}", done_at[0]);
+        // The tail drains at falling depth: the last step is a QD1 read.
+        assert!((done_at[130] - done_at[129] - m.mean_latency(1)).abs() < 1e-12);
     }
 
     #[test]

@@ -29,11 +29,15 @@
 //!   so one batched device read can complete many requests. The window
 //!   defaults to zero (single-read behaviour).
 //! * **Device queue-depth modelling**
-//!   ([`ServeConfig::with_device_queue`]): block reads are submitted
-//!   io_uring-style with a bounded number in flight and charged through
-//!   the calibrated [`QueueModel`](nvm_sim::QueueModel) at the live
-//!   outstanding depth — the simulated NVM time actually elapses, so tail
-//!   latency reflects device queueing, not just host-side queueing.
+//!   ([`ServeConfig::with_device_queue`]): a micro-batch's block reads
+//!   are submitted io_uring-style, all up front with a bounded number in
+//!   flight, and charged through the calibrated
+//!   [`QueueModel`](nvm_sim::QueueModel) at the live outstanding depth.
+//!   The simulated NVM time actually elapses — each block is touched only
+//!   once the model says it arrived, while the worker's CPU work runs
+//!   under the reads still in flight — so tail latency reflects device
+//!   queueing, not just host-side queueing, and a batch costs about
+//!   max(software, device) rather than their sum.
 //!   [`EngineMetrics::breakdown`](EngineMetrics) splits each request into
 //!   queue-wait vs device-time vs service components.
 //! * **Latency accounting** ([`LatencyHistogram`]): mergeable
@@ -272,6 +276,7 @@
 pub mod budget;
 pub mod control;
 pub mod engine;
+mod gate;
 pub mod hist;
 pub mod loadgen;
 pub mod net;

@@ -657,6 +657,8 @@ pub fn render_prometheus(metrics: &EngineMetrics, snapshot: &EngineSnapshot) -> 
     put(&mut out, "bandana_device_queue_depth_mean", "", m.batching.depth.mean_depth());
     head(&mut out, "bandana_device_busy_seconds_total", "counter", "Simulated device-busy time.");
     put(&mut out, "bandana_device_busy_seconds_total", "", m.batching.depth.busy_s);
+    head(&mut out, "bandana_device_stall_seconds_total", "counter", "Wall time stalled on reads.");
+    put(&mut out, "bandana_device_stall_seconds_total", "", m.batching.device_stall_s);
 
     // Block-buffer pool.
     head(&mut out, "bandana_pool_acquires_total", "counter", "Block buffers handed out.");
@@ -767,6 +769,20 @@ pub fn render_prometheus(metrics: &EngineMetrics, snapshot: &EngineSnapshot) -> 
             "bandana_shard_queue_depth_peak",
             &shard_label(s.shard),
             f64::from(s.depth.peak_depth),
+        );
+    }
+    head(
+        &mut out,
+        "bandana_shard_device_stall_seconds_total",
+        "counter",
+        "Wall time stalled on reads per shard.",
+    );
+    for s in &m.per_shard {
+        put(
+            &mut out,
+            "bandana_shard_device_stall_seconds_total",
+            &shard_label(s.shard),
+            s.device_stall_s,
         );
     }
     head(&mut out, "bandana_shard_capacity_blocks", "gauge", "Device capacity in blocks.");
@@ -1423,6 +1439,7 @@ mod tests {
                     depth_weight: 600,
                     busy_s: 0.125,
                 },
+                device_stall_s: 0.0625,
             },
             pool: PoolStats { acquires: 500, reuses: 480, allocs: 20, retained: 16 },
             e2e_histogram: e2e,
@@ -1447,6 +1464,7 @@ mod tests {
                 batches: 41,
                 largest_batch: 9,
                 depth: DepthStats { submitted: 300, ..DepthStats::default() },
+                device_stall_s: 0.03125,
                 capacity_blocks: 2048,
                 bytes_written: 1 << 20,
                 drive_writes: 0.25,
@@ -1518,6 +1536,7 @@ mod tests {
             "bandana_device_queue_depth_peak 5",
             "bandana_device_queue_depth_mean",
             "bandana_device_busy_seconds_total 0.125",
+            "bandana_device_stall_seconds_total 0.0625",
             "bandana_pool_acquires_total 500",
             "bandana_pool_reuses_total 480",
             "bandana_pool_allocs_total 20",
@@ -1543,6 +1562,7 @@ mod tests {
             "bandana_shard_largest_batch{shard=\"0\"} 9",
             "bandana_shard_queue_depth_mean{shard=\"0\"}",
             "bandana_shard_queue_depth_peak{shard=\"0\"}",
+            "bandana_shard_device_stall_seconds_total{shard=\"0\"} 0.03125",
             "bandana_shard_capacity_blocks{shard=\"0\"} 2048",
             "bandana_shard_bytes_written_total{shard=\"0\"} 1048576",
             "bandana_shard_drive_writes{shard=\"0\"} 0.25",
