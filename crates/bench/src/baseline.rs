@@ -6,7 +6,9 @@
 //! baseline by a large multiplicative factor *plus* an absolute slack —
 //! catching order-of-magnitude regressions (a lost batching path, an
 //! accidental lock on the hot path) while shrugging off runner noise.
-//! Structural properties (row set, request accounting, batching actually
+//! Serve-drift rows are the exception: their deliberately overloaded
+//! tails swing several-fold between runs, so only their SLO claim below
+//! gates them. Structural properties (row set, request accounting, batching actually
 //! batching, the weighted tenant's completions dominating the QoS
 //! scenario per its weight, the serve-drift SLO claim — controller-on
 //! keeps the protected tenant's recent-window p99 under its budget with a
@@ -430,6 +432,15 @@ pub fn check_serve(current: &BenchDoc, baseline: &BenchDoc) -> Result<Vec<String
         let completed = row.get("completed").copied().unwrap_or(0.0);
         if completed <= 0.0 {
             failures.push(format!("row [{key}] completed no requests"));
+        }
+        // Serve-drift rows (`slo_on` present) are gated only by their SLO
+        // block below, against budgets measured in the same run: their
+        // deliberately overloaded two-tenant tails swing several-fold
+        // between runs on a small host. The weighted-domination check
+        // skips them too.
+        if row.contains_key("slo_on") {
+            report.push(format!("row [{key}] gated by its SLO budget, not the latency band"));
+            continue;
         }
         for field in GATED_FIELDS {
             let (Some(&cur), Some(&base)) = (row.get(field), base.get(field)) else {
@@ -1423,6 +1434,26 @@ mod tests {
         lone.rows.truncate(4);
         let failures = check_serve(&lone, &base).expect_err("missing arm must fail");
         assert!(failures.iter().any(|f| f.contains("missing its slo-off arm")), "{failures:?}");
+    }
+
+    #[test]
+    fn slo_rows_are_exempt_from_the_latency_band_and_nothing_else_is() {
+        let mut base = doc(&[(0, 50, 1e-4, 5e-4, 1.0, 60.0), (200, 50, 1e-4, 5e-4, 2.5, 60.0)]);
+        base.rows.extend(healthy_drift_rows());
+        // The protected SLO-on row's whole-run p99 lands past
+        // baseline × 8 + 2 ms (10 ms → 82 ms) while its windowed p99
+        // stays under budget: a noisy tail, not a broken controller.
+        let mut noisy = base.clone();
+        noisy.rows[2].insert("p99_s".into(), 0.1);
+        noisy.rows[2].insert("p50_s".into(), 0.05);
+        let report = check_serve(&noisy, &base).expect("serve-drift tails are gated by budget");
+        assert!(report.iter().any(|l| l.contains("gated by its SLO budget")), "{report:?}");
+        // The same blowup on an aggregate sweep row still fails.
+        let mut slow = noisy.clone();
+        slow.rows[1].insert("p99_s".into(), 0.1);
+        let failures = check_serve(&slow, &base).expect_err("the sweep band still bites");
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("p99_s regressed"), "{failures:?}");
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!   shard workers tee sampled co-access sets onto the metrics bus, the
 //!   controller accumulates a windowed co-access hypergraph, and when
 //!   observed blocks-per-request degrades past the threshold it refines
-//!   the hottest blocks' placement and live-applies the new layout
-//!   (real device rewrites, charged to the endurance meter). Within a
-//!   few windows of the drift the newly-hot groups are packed and the
+//!   the placement of the blocks wasting the most slot reads and
+//!   live-applies the new layout when it packs the window tighter (real
+//!   device rewrites, charged to the endurance meter). After the drift
+//!   the newly-hot groups are packed — most of them already by the
+//!   pre-drift solves, which see the whole 48-group deck — and the
 //!   tail-window device reads per request recover to the pre-drift
 //!   (also controller-packed) level.
 //! * **relayout-off** — same store, same traffic, no controller. The
@@ -96,27 +98,15 @@ const ROTATE_FRACTION: f64 = 0.5;
 ///   requests, so a window spans ~180 requests) — big enough that one
 ///   unlucky request cannot spike the window's observed/ideal ratio
 ///   past the solve bar, and wide enough Zipf coverage of the 48-group
-///   deck that a single solve can pack nearly all of it;
-/// * a solve only at observed ≥ 2× ideal — scattered identity layout
-///   sits at ~6-7×, a converged layout at ~1×, so the bar separates
-///   the two regimes with margin in both directions;
-/// * refinement over the 128 hottest blocks — a full table's deck at
-///   this geometry, so convergence can actually reach the ideal (a
-///   smaller budget leaves the Zipf tail scattered, parks the ratio
-///   above the bar, and the controller re-applies forever, paying an
-///   apply pause in every window including the measured ones);
-/// * a one-window cooldown after each apply so consecutive solves see
-///   the rewritten layout's traffic.
+///   deck that a single solve can pack most of it.
+///
+/// Everything else is the controller's default: the 1.25× solve bar,
+/// and a working set (up to 256 blocks) that covers a whole 48-block
+/// table here. The accept rule, not the bar, keeps a converged layout
+/// still — a window that clears the bar but cannot be packed tighter
+/// rewrites nothing.
 fn relayout_settings() -> ReLayoutSettings {
-    ReLayoutSettings {
-        window_requests: 60,
-        sample_every: 3,
-        degrade_ratio: 2.0,
-        hot_blocks: 128,
-        iterations: 8,
-        cooldown_windows: 1,
-        ..ReLayoutSettings::default()
-    }
+    ReLayoutSettings { window_requests: 60, sample_every: 3, ..ReLayoutSettings::default() }
 }
 
 /// One arm's measured outcome.
@@ -190,11 +180,15 @@ struct RelayoutParams {
 
 fn params(scale: Scale) -> RelayoutParams {
     match scale {
-        // Phase A gives the controller ~8 windows to pack the epoch-0
-        // head before its tail is measured; phase B leaves ~8 more
-        // between the drift and the post-drift tail.
+        // A window closes every ~180 requests and its apply lands one or
+        // two bus ticks later. Phase A's 400 unmeasured requests let the
+        // first two windows' applies land before the pre-drift tail: a
+        // tail that starts ~20 requests after the first window races its
+        // apply, and every request served before it lands pays ~100
+        // scattered reads. Phase B leaves about two windows between the
+        // drift and the post-drift tail.
         Scale::Quick => {
-            RelayoutParams { phase_a: 400, phase_b: 600, window: 200, train_requests: 300 }
+            RelayoutParams { phase_a: 600, phase_b: 600, window: 200, train_requests: 300 }
         }
         Scale::Full => {
             RelayoutParams { phase_a: 800, phase_b: 1200, window: 400, train_requests: 600 }

@@ -45,7 +45,9 @@ use crate::obs::{
     DEFAULT_AUDIT_CAPACITY,
 };
 use crate::queue::{LaneSpec, Pop, Push, ShedPolicy, WeightedQueue};
-use crate::relayout::{CoAccessSample, ReLayoutController, ReLayoutInputs, ReLayoutSettings};
+use crate::relayout::{
+    BlocksPerRequestGauge, CoAccessSample, ReLayoutController, ReLayoutInputs, ReLayoutSettings,
+};
 use crate::tenant::{
     Client, PriorityClass, Response, ResponseStatus, ShedBreakdown, TenantId, TenantMetrics,
     TenantSpec,
@@ -568,15 +570,12 @@ struct Counters {
     /// blocks-per-request cleared the degradation bar).
     relayout_solves: AtomicU64,
     /// [`Action::ApplyLayout`]s actually routed to a shard (solves whose
-    /// refinement moved at least one vector).
+    /// refinement packed the window's edges into fewer blocks).
     relayout_applied: AtomicU64,
     /// Blocks rewritten on-device by applied re-layouts.
     relayout_rewritten_blocks: AtomicU64,
-    /// Freshest completed window's observed blocks-per-request, stored
-    /// as [`f64::to_bits`].
-    relayout_observed_bpr_bits: AtomicU64,
-    /// Freshest completed window's ideal blocks-per-request, as bits.
-    relayout_ideal_bpr_bits: AtomicU64,
+    /// Blocks per request over the freshest window any table completed.
+    relayout_bpr: BlocksPerRequestGauge,
 }
 
 impl Counters {
@@ -596,8 +595,7 @@ impl Counters {
             relayout_solves: AtomicU64::new(0),
             relayout_applied: AtomicU64::new(0),
             relayout_rewritten_blocks: AtomicU64::new(0),
-            relayout_observed_bpr_bits: AtomicU64::new(0),
-            relayout_ideal_bpr_bits: AtomicU64::new(0),
+            relayout_bpr: BlocksPerRequestGauge::default(),
         }
     }
 }
@@ -736,6 +734,9 @@ pub(crate) struct Shared {
     /// Payload bytes each table's DRAM cache holds, indexed by table id;
     /// the owning shard worker stores it after every batch and resize.
     cache_resident_bytes: Vec<AtomicU64>,
+    /// Blocks per request over each table's freshest re-layout window,
+    /// indexed by table id; empty when the controller is off.
+    relayout_table_bpr: Vec<BlocksPerRequestGauge>,
     /// Bounded ring of control-plane decisions (the bus records every
     /// applied [`Action`] here before applying it).
     audit: AuditLog,
@@ -1275,15 +1276,24 @@ pub struct EngineMetrics {
     /// blocks-per-request cleared the degradation bar).
     pub relayout_solves: u64,
     /// Block re-layouts actually applied to shards (solves whose
-    /// refinement moved at least one vector).
+    /// refinement packed the window's co-access edges into strictly
+    /// fewer blocks than the live layout).
     pub relayout_applied: u64,
     /// Blocks rewritten on-device by applied re-layouts.
     pub relayout_rewritten_blocks: u64,
-    /// Observed blocks-per-request over the freshest completed re-layout
-    /// window (`0.0` until a window completes).
+    /// Observed blocks-per-request over the freshest re-layout window
+    /// *any* table completed (`0.0` until a window completes); see
+    /// [`table_blocks_per_request_observed`](Self::table_blocks_per_request_observed)
+    /// for which table is above its ideal.
     pub blocks_per_request_observed: f64,
     /// The same window's ideal (perfectly packed) blocks-per-request.
     pub blocks_per_request_ideal: f64,
+    /// Observed blocks-per-request over each table's freshest re-layout
+    /// window, indexed by table id (`0.0` until that table completes a
+    /// window; empty when the re-layout controller is off).
+    pub table_blocks_per_request_observed: Vec<f64>,
+    /// Each table's ideal blocks-per-request over the same window.
+    pub table_blocks_per_request_ideal: Vec<f64>,
     /// The live per-table DRAM partition: running capacity and the
     /// budget controller's latest target per table (targets equal the
     /// build-time split until a controller solves).
@@ -1795,6 +1805,11 @@ impl ShardedEngine {
                     .collect(),
             ),
             cache_resident_bytes: (0..num_tables).map(|_| AtomicU64::new(0)).collect(),
+            relayout_table_bpr: if config.relayout.is_some() {
+                (0..num_tables).map(|_| BlocksPerRequestGauge::default()).collect()
+            } else {
+                Vec::new()
+            },
             audit: AuditLog::new(DEFAULT_AUDIT_CAPACITY),
             persistence,
             recovery: RecoveryStats::default(),
@@ -2117,6 +2132,9 @@ impl ShardedEngine {
         };
         let per_tenant: Vec<TenantMetrics> =
             (0..self.shared.num_tenants()).map(|i| self.shared.tenant_metrics(i)).collect();
+        let (blocks_per_request_observed, blocks_per_request_ideal) = c.relayout_bpr.read();
+        let (table_blocks_per_request_observed, table_blocks_per_request_ideal) =
+            self.shared.relayout_table_bpr.iter().map(BlocksPerRequestGauge::read).unzip();
         EngineMetrics {
             submitted: c.submitted.load(Ordering::Relaxed),
             completed: c.completed.load(Ordering::Relaxed),
@@ -2133,12 +2151,10 @@ impl ShardedEngine {
             relayout_solves: c.relayout_solves.load(Ordering::Relaxed),
             relayout_applied: c.relayout_applied.load(Ordering::Relaxed),
             relayout_rewritten_blocks: c.relayout_rewritten_blocks.load(Ordering::Relaxed),
-            blocks_per_request_observed: f64::from_bits(
-                c.relayout_observed_bpr_bits.load(Ordering::Relaxed),
-            ),
-            blocks_per_request_ideal: f64::from_bits(
-                c.relayout_ideal_bpr_bits.load(Ordering::Relaxed),
-            ),
+            blocks_per_request_observed,
+            blocks_per_request_ideal,
+            table_blocks_per_request_observed,
+            table_blocks_per_request_ideal,
             cache_partition: self
                 .shared
                 .cache_partition
@@ -2416,8 +2432,8 @@ fn control_main(
         controllers.push(Box::new(ReLayoutController::new(
             inputs,
             &shared.counters.relayout_solves,
-            &shared.counters.relayout_observed_bpr_bits,
-            &shared.counters.relayout_ideal_bpr_bits,
+            &shared.counters.relayout_bpr,
+            &shared.relayout_table_bpr,
         )));
     }
     if let Some(slo_config) = slo {
@@ -3879,6 +3895,20 @@ mod tests {
                 .all(|e| e.action.contains("ApplyLayout") && e.cause.contains("blocks/request")),
             "audit entries must carry the window evidence: {audited:?}"
         );
+    }
+
+    #[test]
+    fn per_table_fragmentation_gauges_exist_only_with_the_controller() {
+        let tables = ModelSpec::test_small().num_tables();
+        for (relayout, len) in [(false, 0), (true, tables)] {
+            let mut config = ServeConfig::default().with_shards(1);
+            if relayout {
+                config = config.with_relayout(ReLayoutSettings::default());
+            }
+            let m = ShardedEngine::new(build_plain_store(41), config).expect("engine").shutdown();
+            assert_eq!(m.table_blocks_per_request_observed, vec![0.0; len], "relayout {relayout}");
+            assert_eq!(m.table_blocks_per_request_ideal, vec![0.0; len], "relayout {relayout}");
+        }
     }
 
     /// A one-shot controller that hands the engine a fixed layout once:

@@ -106,15 +106,18 @@
 //!   internal `ReLayoutController` accumulates a windowed co-access
 //!   hypergraph per table, and when observed blocks-per-request
 //!   degrades past a threshold of the window's ideal it runs an
-//!   incremental [`bandana_partition::refine`] over the hottest blocks.
-//!   The refined order is applied atomically between micro-batches
+//!   incremental [`bandana_partition::refine`] over the blocks wasting
+//!   the most slot reads. A refined order that packs the window into
+//!   fewer blocks is applied atomically between micro-batches
 //!   ([`Action::ApplyLayout`]) — rewritten blocks are real device
 //!   writes charged to the shard's endurance meter, cached entries
 //!   survive the remap — and the learned layout survives a warm
 //!   restart via snapshots. Windows surface as
-//!   `bandana_blocks_per_request_{observed,ideal}` gauges; every
-//!   applied re-layout is audit-logged with the figures that justified
-//!   it.
+//!   `bandana_blocks_per_request_{observed,ideal}` gauges (the latest
+//!   window of any table) and their per-table
+//!   `bandana_table_blocks_per_request_{observed,ideal}{table="N"}`
+//!   twins; every applied re-layout is audit-logged with the figures
+//!   that justified it.
 //! * **Observability** ([`obs`]): a three-part layer over everything
 //!   above. The **flight recorder** samples one request in N
 //!   ([`ServeConfig::with_trace`]) and records its lifecycle — admitted,

@@ -948,16 +948,33 @@ pub fn render_prometheus(metrics: &EngineMetrics, snapshot: &EngineSnapshot) -> 
         &mut out,
         "bandana_blocks_per_request_observed",
         "gauge",
-        "Observed blocks per request over the freshest re-layout window.",
+        "Observed blocks per request over the freshest re-layout window of any table.",
     );
     put(&mut out, "bandana_blocks_per_request_observed", "", m.blocks_per_request_observed);
     head(
         &mut out,
         "bandana_blocks_per_request_ideal",
         "gauge",
-        "Ideal (perfectly packed) blocks per request over the freshest re-layout window.",
+        "Ideal (perfectly packed) blocks per request over that same window.",
     );
     put(&mut out, "bandana_blocks_per_request_ideal", "", m.blocks_per_request_ideal);
+    for (name, help, values) in [
+        (
+            "bandana_table_blocks_per_request_observed",
+            "Observed blocks per request over each table's freshest re-layout window.",
+            &m.table_blocks_per_request_observed,
+        ),
+        (
+            "bandana_table_blocks_per_request_ideal",
+            "Ideal blocks per request over each table's freshest re-layout window.",
+            &m.table_blocks_per_request_ideal,
+        ),
+    ] {
+        head(&mut out, name, "gauge", help);
+        for (table, &value) in values.iter().enumerate() {
+            put(&mut out, name, &format!("table=\"{table}\""), value);
+        }
+    }
     head(
         &mut out,
         "bandana_table_cache_capacity_entries",
@@ -1413,6 +1430,8 @@ mod tests {
             relayout_rewritten_blocks: 6,
             blocks_per_request_observed: 3.5,
             blocks_per_request_ideal: 1.25,
+            table_blocks_per_request_observed: vec![3.5, 2.75],
+            table_blocks_per_request_ideal: vec![1.25, 1.5],
             cache_partition: vec![TableCachePartition {
                 table: 0,
                 capacity_entries: 512,
@@ -1597,6 +1616,8 @@ mod tests {
             "bandana_relayout_rewritten_blocks_total 6",
             "bandana_blocks_per_request_observed 3.5",
             "bandana_blocks_per_request_ideal 1.25",
+            "bandana_table_blocks_per_request_observed{table=\"1\"} 2.75",
+            "bandana_table_blocks_per_request_ideal{table=\"1\"} 1.5",
             "bandana_table_cache_capacity_entries{table=\"0\"} 512",
             "bandana_table_cache_target_entries{table=\"0\"} 640",
             "bandana_table_cache_resident_bytes{table=\"0\"} 65536",
