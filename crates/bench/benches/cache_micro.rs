@@ -55,6 +55,8 @@ fn bench_prefetch_sim(c: &mut Criterion) {
     for (name, policy) in [
         ("baseline", AdmissionPolicy::None),
         ("prefetch_all", AdmissionPolicy::All { position: 0.0 }),
+        // Inserts mid-queue, so it runs on the 16-segment queue.
+        ("prefetch_all_mid", AdmissionPolicy::All { position: 0.5 }),
         ("threshold", AdmissionPolicy::Threshold { t: 5 }),
     ] {
         group.bench_function(name, |b| {

@@ -73,6 +73,23 @@ impl AdmissionPolicy {
     pub fn prefetches(&self) -> bool {
         !matches!(self, AdmissionPolicy::None)
     }
+
+    /// Whether [`AdmissionPolicy::admit`] can return a queue position below
+    /// the top. Only such a policy needs a segmented eviction queue: under
+    /// inserts and promotions at the top alone, a one-segment
+    /// [`SegmentedLru`](crate::SegmentedLru) keeps the same order and
+    /// evicts the same entries as a segmented one, at a fraction of the
+    /// work per operation.
+    pub fn inserts_below_top(&self) -> bool {
+        match *self {
+            AdmissionPolicy::All { position } | AdmissionPolicy::ShadowPosition { position } => {
+                position > 0.0
+            }
+            AdmissionPolicy::None | AdmissionPolicy::Shadow | AdmissionPolicy::Threshold { .. } => {
+                false
+            }
+        }
+    }
 }
 
 impl Default for AdmissionPolicy {
@@ -124,6 +141,21 @@ mod tests {
         assert_eq!(p.admit(10, false), None);
         assert_eq!(p.admit(11, false), Some(0.0));
         assert!(!p.needs_shadow());
+    }
+
+    #[test]
+    fn only_fractional_positions_insert_below_the_top() {
+        for (policy, below) in [
+            (AdmissionPolicy::None, false),
+            (AdmissionPolicy::All { position: 0.0 }, false),
+            (AdmissionPolicy::All { position: 0.7 }, true),
+            (AdmissionPolicy::Shadow, false),
+            (AdmissionPolicy::ShadowPosition { position: 0.0 }, false),
+            (AdmissionPolicy::ShadowPosition { position: 0.5 }, true),
+            (AdmissionPolicy::Threshold { t: 10 }, false),
+        ] {
+            assert_eq!(policy.inserts_below_top(), below, "{policy:?}");
+        }
     }
 
     #[test]

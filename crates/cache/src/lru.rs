@@ -8,6 +8,17 @@
 //! of segment `⌊p·S⌋`, overflow cascades tail→head down the segments, and
 //! eviction pops the last segment's tail. With one segment this is an exact
 //! LRU, which the property tests verify against a reference model.
+//!
+//! Segments exist only for those fractional inserts, and they cost work:
+//! every insert and every hit promotion into segment 0 relinks one entry at
+//! each segment boundary below it. A queue that only ever inserts at the top
+//! does not need them. Under top inserts, `get`/`get_mut`/`peek` and
+//! `set_capacity` (at or above the segment count), an `S`-segment queue
+//! holds the same keys in the same order and evicts the same entries as a
+//! one-segment queue, so such a queue is built with one (see
+//! [`AdmissionPolicy::inserts_below_top`](crate::AdmissionPolicy::inserts_below_top)).
+//! `remove` breaks the equivalence: a hole left mid-queue plus a later shrink
+//! can shed an entry the one-segment queue keeps.
 
 use crate::idhash::IdHashMap;
 

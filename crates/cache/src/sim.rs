@@ -16,7 +16,9 @@ use bandana_partition::{AccessFrequency, BlockLayout};
 /// Default shadow-cache size multiplier (mid-range of Figure 11b's sweep).
 pub const DEFAULT_SHADOW_MULTIPLIER: f64 = 1.5;
 
-/// How many LRU segments the queue uses; position granularity is 1/16.
+/// How many LRU segments the queue uses when the policy inserts below the
+/// top ([`AdmissionPolicy::inserts_below_top`]); position granularity is
+/// 1/16. Every other policy runs on one segment, an exact LRU.
 const SEGMENTS: usize = 16;
 
 /// Whether a cached entry arrived on demand or as a prefetch (for the
@@ -94,7 +96,7 @@ impl<'a> PrefetchCacheSim<'a> {
         shadow_multiplier: f64,
     ) -> Self {
         assert!(cache_capacity > 0, "cache capacity must be non-zero");
-        let segments = SEGMENTS.min(cache_capacity);
+        let segments = if policy.inserts_below_top() { SEGMENTS.min(cache_capacity) } else { 1 };
         let shadow =
             policy.needs_shadow().then(|| ShadowCache::new(cache_capacity, shadow_multiplier));
         PrefetchCacheSim {
@@ -118,11 +120,11 @@ impl<'a> PrefetchCacheSim<'a> {
         if let Some(shadow) = &mut self.shadow {
             shadow.record_read(v as u64);
         }
-        if let Some(origin) = self.cache.get(v as u64) {
+        if let Some(origin) = self.cache.get_mut(v as u64) {
             if *origin == Origin::Prefetch {
-                self.metrics.prefetch_hits += 1;
                 // Count each prefetched entry's usefulness once.
-                self.cache.insert(v as u64, Origin::Demand, 0.0);
+                *origin = Origin::Demand;
+                self.metrics.prefetch_hits += 1;
             }
             self.metrics.hits += 1;
             return true;

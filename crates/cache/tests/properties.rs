@@ -202,6 +202,50 @@ proptest! {
         }
     }
 
+    /// Under top inserts, promotions, peeks and resizes at or above the
+    /// segment count, an S-segment queue is indistinguishable from a
+    /// one-segment queue: the same evicted entries, order, length and
+    /// eviction count after every step. This is what lets a cache whose
+    /// policy never inserts below the top run on one segment. `remove` is
+    /// left out on purpose: a hole in the middle of a segmented queue plus a
+    /// later shrink sheds an entry the one-segment queue keeps, and neither
+    /// cache built on this equivalence removes entries.
+    #[test]
+    fn top_only_queue_is_the_same_on_any_segment_count(
+        segments in 2usize..=16,
+        extra in 0usize..24,
+        ops in proptest::collection::vec((0u8..8, 0u64..48, 0usize..40), 1..400),
+    ) {
+        let capacity = segments + extra;
+        let mut split = SegmentedLru::new(capacity, segments);
+        let mut flat = SegmentedLru::new(capacity, 1);
+        for (step, (kind, key, resize)) in ops.into_iter().enumerate() {
+            match kind {
+                0..=3 => {
+                    let value = step as u64;
+                    prop_assert_eq!(split.insert(key, value, 0.0), flat.insert(key, value, 0.0));
+                }
+                4 => prop_assert_eq!(split.get(key), flat.get(key)),
+                5 => match (split.get_mut(key), flat.get_mut(key)) {
+                    (Some(a), Some(b)) => {
+                        prop_assert_eq!(*a, *b);
+                        *a += 1000;
+                        *b += 1000;
+                    }
+                    (a, b) => prop_assert_eq!(a.is_some(), b.is_some()),
+                },
+                6 => prop_assert_eq!(split.peek(key), flat.peek(key)),
+                _ => {
+                    let to = segments + resize;
+                    prop_assert_eq!(split.set_capacity(to), flat.set_capacity(to));
+                }
+            }
+            prop_assert_eq!(split.keys_in_order(), flat.keys_in_order());
+            prop_assert_eq!(split.len(), flat.len());
+            prop_assert_eq!(split.evictions(), flat.evictions());
+        }
+    }
+
     /// Prefetch admission never changes correctness-level counters: lookups
     /// and the hit/miss partition stay consistent for every policy.
     #[test]

@@ -17,9 +17,11 @@
 //! slot an insert fills before the eviction it causes frees another. A
 //! shrink packs the survivors into the low slots and gives the rest back.
 
-use bandana_cache::SegmentedLru;
+use bandana_cache::{AdmissionPolicy, SegmentedLru};
 
-/// How many LRU segments the cache uses (position granularity 1/16).
+/// How many LRU segments the cache uses under a policy that inserts below
+/// the top ([`AdmissionPolicy::inserts_below_top`]); position granularity
+/// 1/16. Every other policy runs on one segment, an exact LRU.
 const SEGMENTS: usize = 16;
 
 /// Whether a cached entry arrived on demand or as a prefetch.
@@ -38,16 +40,45 @@ pub(crate) struct PayloadCache {
     /// take it before growing the arena, so at most one is ever waiting.
     free_slot: Option<u32>,
     vector_bytes: usize,
+    /// `SEGMENTS.min(capacity at construction)`: the segment count of the
+    /// queue under a policy that inserts below the top, and the floor every
+    /// resize clamps to, whatever the queue's current shape.
+    segmented: usize,
 }
 
 impl PayloadCache {
-    pub(crate) fn new(capacity: usize, vector_bytes: usize) -> Self {
+    pub(crate) fn new(capacity: usize, vector_bytes: usize, policy: &AdmissionPolicy) -> Self {
+        let segmented = SEGMENTS.min(capacity);
         PayloadCache {
-            lru: SegmentedLru::new(capacity, SEGMENTS.min(capacity)),
+            lru: SegmentedLru::new(capacity, Self::segments(segmented, policy)),
             arena: Vec::new(),
             free_slot: None,
             vector_bytes,
+            segmented,
         }
+    }
+
+    fn segments(segmented: usize, policy: &AdmissionPolicy) -> usize {
+        if policy.inserts_below_top() {
+            segmented
+        } else {
+            1
+        }
+    }
+
+    /// Re-splits the queue for `policy` when it needs another segment count,
+    /// keeping every entry and its recency order (see
+    /// `TableStore::set_policy`).
+    pub(crate) fn reshape_for(&mut self, policy: &AdmissionPolicy) {
+        let segments = Self::segments(self.segmented, policy);
+        if segments == self.lru.segment_targets().len() {
+            return;
+        }
+        let mut lru = SegmentedLru::new(self.lru.capacity(), segments);
+        while let Some((key, value)) = self.lru.pop_lru() {
+            lru.insert(key, value, 0.0);
+        }
+        self.lru = lru;
     }
 
     pub(crate) fn capacity(&self) -> usize {
@@ -108,12 +139,13 @@ impl PayloadCache {
         }
     }
 
-    /// Resizes the cache (see [`SegmentedLru::set_capacity`]) and returns
-    /// how many entries a shrink evicted. When it evicted any, the
-    /// survivors are packed into the low slots and the arena is cut — and
-    /// its memory returned — to exactly their size.
+    /// Resizes the cache (see [`SegmentedLru::set_capacity`]), never below
+    /// `SEGMENTS.min(capacity at construction)` entries, and returns how
+    /// many entries a shrink evicted. When it evicted any, the survivors are
+    /// packed into the low slots and the arena is cut — and its memory
+    /// returned — to exactly their size.
     pub(crate) fn set_capacity(&mut self, entries: usize) -> usize {
-        let shed = self.lru.set_capacity(entries).len();
+        let shed = self.lru.set_capacity(entries.max(self.segmented)).len();
         if shed > 0 {
             self.compact();
         }
@@ -187,13 +219,16 @@ impl PayloadCache {
 mod tests {
     use super::*;
 
+    /// Inserts below the top, so the queue is segmented.
+    const POSITIONAL: AdmissionPolicy = AdmissionPolicy::All { position: 0.5 };
+
     fn payload(v: u32) -> [u8; 4] {
         v.to_le_bytes()
     }
 
     #[test]
     fn arena_grows_lazily_and_recycles_the_evicted_slot() {
-        let mut cache = PayloadCache::new(16, 4);
+        let mut cache = PayloadCache::new(16, 4, &POSITIONAL);
         assert_eq!(cache.resident_bytes(), 0, "nothing is pre-faulted");
         for v in 0..16u32 {
             assert!(!cache.insert(v, Origin::Demand, 0.0, &payload(v), false));
@@ -213,7 +248,7 @@ mod tests {
 
     #[test]
     fn refresh_rewrites_an_entry_in_its_own_slot() {
-        let mut cache = PayloadCache::new(16, 4);
+        let mut cache = PayloadCache::new(16, 4, &POSITIONAL);
         for v in 0..16u32 {
             cache.insert(v, Origin::Prefetch, 0.0, &payload(v), false);
         }
@@ -229,7 +264,7 @@ mod tests {
 
     #[test]
     fn shrink_packs_survivors_and_cuts_the_arena() {
-        let mut cache = PayloadCache::new(64, 4);
+        let mut cache = PayloadCache::new(64, 4, &POSITIONAL);
         for v in 0..100u32 {
             cache.insert(v, Origin::Demand, (v % 4) as f64 / 4.0, &payload(v), false);
         }
@@ -248,6 +283,23 @@ mod tests {
         for v in 100..200u32 {
             cache.insert(v, Origin::Demand, 0.0, &payload(v), false);
             cache.assert_invariants();
+        }
+    }
+
+    #[test]
+    fn the_resize_floor_does_not_depend_on_the_queue_shape() {
+        for policy in [POSITIONAL, AdmissionPolicy::Threshold { t: 10 }] {
+            let mut cache = PayloadCache::new(64, 4, &policy);
+            cache.set_capacity(1);
+            assert_eq!(cache.capacity(), SEGMENTS, "{policy:?}");
+            let mut small = PayloadCache::new(5, 4, &policy);
+            small.set_capacity(1);
+            assert_eq!(small.capacity(), 5, "{policy:?}");
+            small.reshape_for(&POSITIONAL);
+            small.set_capacity(9);
+            small.reshape_for(&AdmissionPolicy::None);
+            small.set_capacity(1);
+            assert_eq!(small.capacity(), 5, "{policy:?}");
         }
     }
 }

@@ -80,7 +80,7 @@ impl TableStore {
             freq,
             policy,
             shadow_multiplier,
-            cache: PayloadCache::new(cache_capacity, vector_bytes),
+            cache: PayloadCache::new(cache_capacity, vector_bytes, &policy),
             shadow,
             metrics: CacheMetrics::new(),
             base_block,
@@ -171,8 +171,19 @@ impl TableStore {
     }
 
     /// Replaces the admission policy (used by the tuner). The shadow cache
-    /// is created or dropped as needed; cache contents are preserved.
+    /// is created or dropped as needed; cache contents and their recency
+    /// order are preserved.
+    ///
+    /// The eviction queue is segmented only while the policy inserts below
+    /// the top ([`AdmissionPolicy::inserts_below_top`]); a swap across that
+    /// line re-splits it, in recency order, so the same keys stay in the
+    /// same order. The one state a re-split does not reproduce is segment
+    /// membership: the first insert below the top after a re-split *into*
+    /// segments finds each entry in the segment the re-split put it in,
+    /// which can differ from where a history on a segmented queue would
+    /// have left it while the cache is not full.
     pub fn set_policy(&mut self, policy: AdmissionPolicy, shadow_multiplier: f64) {
+        self.cache.reshape_for(&policy);
         self.policy = policy;
         self.shadow_multiplier = shadow_multiplier;
         if policy.needs_shadow() {
@@ -191,7 +202,8 @@ impl TableStore {
     /// the survivors' payloads together and returns the rest of the arena's
     /// memory. The shadow cache, when present, is rebuilt at the new
     /// capacity — its admission history restarts, like a policy change.
-    /// `entries` is clamped to at least the LRU's segment count.
+    /// `entries` is clamped to at least 16, or to the capacity the table was
+    /// built with if that was smaller.
     pub fn set_cache_capacity(&mut self, entries: usize) {
         self.metrics.evictions += self.cache.set_capacity(entries) as u64;
         if self.shadow.is_some() {
@@ -786,6 +798,39 @@ mod tests {
         assert!(table.shadow.is_some());
         table.set_policy(AdmissionPolicy::Threshold { t: 5 }, 1.5);
         assert!(table.shadow.is_none());
+    }
+
+    #[test]
+    fn set_policy_resplits_the_queue_without_touching_its_contents() {
+        // Threshold admission with all-zero training counts admits nothing.
+        let threshold = AdmissionPolicy::Threshold { t: 0 };
+        let (mut table, mut device, _) = setup_blocks(64, 8, threshold, 16);
+        for v in 0..16u32 {
+            table.lookup(&mut device, v).unwrap();
+        }
+        let warm = table.cache_snapshot();
+        table.set_policy(AdmissionPolicy::All { position: 0.7 }, 1.5);
+        assert_eq!(table.cache_snapshot(), warm, "a re-split keeps every entry in order");
+
+        // A miss on block 5 (vectors 40..48) now admits its neighbours
+        // below the top: they are evicted before the vector it demanded,
+        // which on a one-segment queue would be evicted first.
+        table.lookup(&mut device, 40).unwrap();
+        let neighbours = 41..48u32;
+        assert_eq!(table.metrics().prefetches_admitted, 7);
+        let positional = table.cache_snapshot();
+        table.set_policy(threshold, 1.5);
+        assert_eq!(table.cache_snapshot(), positional, "and so does a merge back into one");
+
+        let mut outlived = false;
+        for v in 16..40u32 {
+            table.lookup(&mut device, v).unwrap();
+            let cached: Vec<u32> = table.cache_snapshot().iter().map(|e| e.0).collect();
+            let any_neighbour = neighbours.clone().any(|u| cached.contains(&u));
+            assert!(cached.contains(&40) || !any_neighbour, "vector 40 left before a neighbour");
+            outlived |= cached.contains(&40) && !any_neighbour;
+        }
+        assert!(outlived, "vector 40 outlived every neighbour");
     }
 
     #[test]

@@ -372,6 +372,12 @@ fn weighted_tenants_divide_completions_under_engine_overload() {
     let completed_of = |m: &bandana::serve::EngineMetrics, id: TenantId| {
         m.per_tenant.iter().find(|t| t.id == id).expect("registered tenant").completed
     };
+    // The window is sized on the per-tenant counters it is measured with:
+    // a snapshot reads them before the engine-wide `completed`, so the two
+    // can differ by the completions that land in between.
+    let both = |m: &bandana::serve::EngineMetrics| {
+        completed_of(m, TenantId(1)) + completed_of(m, TenantId(2))
+    };
     let (heavy_delta, light_delta) = std::thread::scope(|scope| {
         for id in [TenantId(1), TenantId(2)] {
             let client = engine.client(id).expect("registered tenant");
@@ -390,14 +396,14 @@ fn weighted_tenants_divide_completions_under_engine_overload() {
         // Let the floods saturate their lanes, then measure a window.
         let warm = loop {
             let m = engine.metrics();
-            if m.completed >= 200 {
+            if both(&m) >= 200 {
                 break m;
             }
             std::thread::sleep(Duration::from_millis(5));
         };
         let end = loop {
             let m = engine.metrics();
-            if m.completed >= warm.completed + 800 {
+            if both(&m) >= both(&warm) + 800 {
                 break m;
             }
             std::thread::sleep(Duration::from_millis(5));
