@@ -1,10 +1,9 @@
-//! Microbenchmarks for the extension modules: eviction policies, MRC
-//! estimators, and the concurrent store's parallel serving path.
+//! Microbenchmarks for the extension modules: eviction policies and MRC
+//! estimators.
 
 use bandana_cache::{AdmissionPolicy, PolicyKind, PolicySim};
-use bandana_core::{BandanaConfig, BandanaStore};
 use bandana_partition::{AccessFrequency, BlockLayout};
-use bandana_trace::{AetModel, EmbeddingTable, ModelSpec, Shards, StackDistances, TraceGenerator};
+use bandana_trace::{AetModel, Shards, StackDistances};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn stream(n: u32, len: usize) -> Vec<u32> {
@@ -90,53 +89,5 @@ fn bench_mrc_estimators(c: &mut Criterion) {
     group.finish();
 }
 
-/// Parallel serving throughput of the concurrent store at 1/2/4 workers.
-fn bench_concurrent_store(c: &mut Criterion) {
-    let spec = ModelSpec::paper_scaled(10_000);
-    let mut generator = TraceGenerator::new(&spec, 0xBA9DA9A);
-    let training = generator.generate_requests(400);
-    let embeddings: Vec<EmbeddingTable> = (0..spec.num_tables())
-        .map(|t| {
-            EmbeddingTable::synthesize(
-                spec.tables[t].num_vectors,
-                spec.dim,
-                generator.topic_model(t),
-                t as u64,
-            )
-        })
-        .collect();
-    let serving = generator.generate_requests(400);
-
-    let mut group = c.benchmark_group("concurrent_store");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(serving.total_lookups() as u64));
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("serve_trace", threads),
-            &threads,
-            |b, &threads| {
-                b.iter_batched(
-                    || {
-                        BandanaStore::build(
-                            &spec,
-                            &embeddings,
-                            &training,
-                            BandanaConfig::default().with_cache_vectors(1024),
-                        )
-                        .expect("build store")
-                        .into_concurrent()
-                    },
-                    |store| {
-                        store.serve_trace_parallel(&serving, threads).expect("serve");
-                        store.total_metrics().lookups
-                    },
-                    criterion::BatchSize::LargeInput,
-                );
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_eviction_policies, bench_mrc_estimators, bench_concurrent_store);
+criterion_group!(benches, bench_eviction_policies, bench_mrc_estimators);
 criterion_main!(benches);

@@ -181,8 +181,9 @@ fn main() -> ExitCode {
         let started = std::time::Instant::now();
         let artifact = run_by_id(id, scale);
         println!("=== {id} (scale: {scale}) ===");
-        println!("{artifact}");
-        println!("[{id} took {:.1}s]\n", started.elapsed().as_secs_f64());
+        println!("{artifact}\n");
+        // Timing goes to stderr so that stdout is byte-identical run to run.
+        eprintln!("[{id} took {:.1}s]", started.elapsed().as_secs_f64());
     }
     ExitCode::SUCCESS
 }

@@ -10,12 +10,11 @@
 
 use crate::output::{pct, TextTable};
 use crate::scale::Scale;
-use bandana_cache::{
-    allocate_dram, allocate_with, AdmissionPolicy, AllocationPolicy, HitRateCurve,
+use bandana_cache::{allocate_with, AdmissionPolicy, AllocationPolicy};
+use bandana_core::{
+    curve_sizes, divide_dram, effective_bandwidth_sweep, hit_rate_curves, lookup_weights,
 };
-use bandana_core::effective_bandwidth_sweep;
 use bandana_partition::{average_fanout, social_hash_partition, BlockLayout, ShpConfig};
-use bandana_trace::StackDistances;
 use serde::{Deserialize, Serialize};
 
 /// One row of the SHP-iterations ablation.
@@ -71,24 +70,13 @@ pub fn allocation_policies(scale: Scale) -> Vec<AllocRow> {
     let w = super::common::workload(scale);
     let layouts = super::common::shp_layouts(&w, scale);
     let freqs = super::common::frequencies(&w);
-    let weights = super::common::lookup_weights(&w);
+    let weights = lookup_weights(&w.train);
     let total = scale.default_total_cache();
     let tables = w.spec.num_tables();
 
     // Hit-rate-curve (Dynacache-style) division.
-    let sizes: Vec<usize> = [64usize, 16, 8, 4, 2, 1].iter().map(|d| (total / d).max(1)).collect();
-    let curves: Vec<HitRateCurve> = (0..tables)
-        .map(|t| {
-            let stream = w.train.table_stream(t);
-            let mut sd = StackDistances::with_capacity(stream.len().max(1));
-            sd.access_all(stream.iter().map(|&v| v as u64));
-            HitRateCurve::new(sd.hit_rate_curve(&sizes))
-        })
-        .collect();
-    let hrc: Vec<usize> = allocate_dram(total, &curves, &weights, (total / 64).max(1))
-        .into_iter()
-        .map(|c| c.max(1))
-        .collect();
+    let curves = hit_rate_curves(&w.train, &curve_sizes(total));
+    let hrc = divide_dram(total, &curves, &weights);
     let proportional: Vec<usize> =
         weights.iter().map(|&sh| ((total as f64 * sh) as usize).max(1)).collect();
     let uniform: Vec<usize> = vec![(total / tables).max(1); tables];

@@ -5,8 +5,8 @@ use crate::scale::Scale;
 use bandana_partition::{social_hash_partition, AccessFrequency, BlockLayout, ShpConfig};
 use bandana_trace::{ModelSpec, Trace, TraceGenerator};
 
-/// Master seed shared by all experiments so the artifacts in EXPERIMENTS.md
-/// are exactly reproducible.
+/// Master seed shared by all experiments, so that every artifact `repro`
+/// prints is exactly reproducible.
 pub const SEED: u64 = 0xBA9DA9A;
 
 /// The paper's vectors-per-4KB-block at the default 128 B vector size.
@@ -84,12 +84,6 @@ pub fn frequencies(w: &Workload) -> Vec<AccessFrequency> {
         .collect()
 }
 
-/// The training-share weights used to divide DRAM (Table 1's "% of total").
-pub fn lookup_weights(w: &Workload) -> Vec<f64> {
-    let total = w.train.total_lookups().max(1) as f64;
-    (0..w.spec.num_tables()).map(|t| w.train.table_lookups(t) as f64 / total).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,13 +94,6 @@ mod tests {
         let b = workload(Scale::Quick);
         assert_eq!(a.train, b.train);
         assert_eq!(a.eval, b.eval);
-    }
-
-    #[test]
-    fn weights_sum_to_one() {
-        let w = workload(Scale::Quick);
-        let sum: f64 = lookup_weights(&w).iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 
 use crate::output::{pct, TextTable};
 use crate::scale::Scale;
-use bandana_cache::{allocate_dram, AdmissionPolicy, HitRateCurve};
-use bandana_core::{effective_bandwidth_sweep, tune_thresholds, TunerConfig};
-use bandana_trace::StackDistances;
+use bandana_core::{
+    curve_sizes, divide_dram, effective_bandwidth_sweep, hit_rate_curves, lookup_weights,
+    tune_tables,
+};
 use serde::{Deserialize, Serialize};
 
 /// One sweep point.
@@ -31,43 +32,24 @@ pub fn run(scale: Scale) -> Vec<Row> {
     let w = super::common::workload(scale);
     let layouts = super::common::shp_layouts(&w, scale);
     let freqs = super::common::frequencies(&w);
-    let weights = super::common::lookup_weights(&w);
+    let weights = lookup_weights(&w.train);
 
     // Hit-rate curves from the training trace, reused for every total.
     let max_total = *scale.total_cache_sizes().last().unwrap();
-    let sizes: Vec<usize> =
-        [64usize, 16, 8, 4, 2, 1].iter().map(|d| (max_total / d).max(1)).collect();
-    let curves: Vec<HitRateCurve> = (0..w.spec.num_tables())
-        .map(|t| {
-            let stream = w.train.table_stream(t);
-            let mut sd = StackDistances::with_capacity(stream.len().max(1));
-            sd.access_all(stream.iter().map(|&v| v as u64));
-            HitRateCurve::new(sd.hit_rate_curve(&sizes))
-        })
-        .collect();
+    let curves = hit_rate_curves(&w.train, &curve_sizes(max_total));
 
     let mut rows = Vec::new();
     for &total in &scale.total_cache_sizes() {
-        let capacities: Vec<usize> = allocate_dram(total, &curves, &weights, (total / 64).max(1))
-            .into_iter()
-            .map(|c| c.max(1))
-            .collect();
-        let policies: Vec<AdmissionPolicy> = (0..w.spec.num_tables())
-            .map(|t| {
-                let chosen = tune_thresholds(
-                    &layouts[t],
-                    &freqs[t],
-                    &w.train.table_stream(t),
-                    &TunerConfig {
-                        cache_capacity: capacities[t],
-                        sampling_rate: 0.25,
-                        candidate_thresholds: super::fig12::thresholds(scale),
-                        salt: super::common::SEED,
-                    },
-                );
-                AdmissionPolicy::Threshold { t: chosen }
-            })
-            .collect();
+        let capacities = divide_dram(total, &curves, &weights);
+        let policies = tune_tables(
+            &layouts,
+            &freqs,
+            &w.train,
+            &capacities,
+            0.25,
+            &super::fig12::thresholds(scale),
+            |_| super::common::SEED,
+        );
         let gains =
             effective_bandwidth_sweep(&w.eval, &layouts, &freqs, &capacities, &policies, 1.5);
         for g in gains {

@@ -8,10 +8,10 @@
 
 use crate::output::{pct, TextTable};
 use crate::scale::Scale;
-use bandana_cache::{
-    allocate_dram, AdmissionPolicy, HitRateCurve, MiniatureCacheSet, PrefetchCacheSim,
+use bandana_cache::{AdmissionPolicy, PrefetchCacheSim};
+use bandana_core::{
+    curve_sizes, divide_dram, hit_rate_curves, lookup_weights, tune_admission, TunerConfig,
 };
-use bandana_trace::StackDistances;
 use serde::{Deserialize, Serialize};
 
 /// One bar: a table tuned at a sampling rate.
@@ -30,28 +30,15 @@ pub fn run(scale: Scale) -> Vec<Row> {
     let w = super::common::workload(scale);
     let layouts = super::common::shp_layouts(&w, scale);
     let freqs = super::common::frequencies(&w);
-    let weights = super::common::lookup_weights(&w);
     let candidates = super::fig12::thresholds(scale);
     let total = scale.default_total_cache();
-
-    let sizes: Vec<usize> = [64usize, 16, 8, 4, 2, 1].iter().map(|d| (total / d).max(1)).collect();
-    let curves: Vec<HitRateCurve> = (0..w.spec.num_tables())
-        .map(|t| {
-            let stream = w.train.table_stream(t);
-            let mut sd = StackDistances::with_capacity(stream.len().max(1));
-            sd.access_all(stream.iter().map(|&v| v as u64));
-            HitRateCurve::new(sd.hit_rate_curve(&sizes))
-        })
-        .collect();
-    let capacities: Vec<usize> = allocate_dram(total, &curves, &weights, (total / 64).max(1))
-        .into_iter()
-        .map(|c| c.max(1))
-        .collect();
+    let curves = hit_rate_curves(&w.train, &curve_sizes(total));
+    let capacities = divide_dram(total, &curves, &lookup_weights(&w.train));
 
     let mut rows = Vec::new();
     for t in 0..w.spec.num_tables() {
         let stream = w.eval.table_stream(t);
-        let full_gain = |threshold: u32| {
+        let full_gain = |tuned: AdmissionPolicy| {
             let reads = |policy: AdmissionPolicy| {
                 let mut sim =
                     PrefetchCacheSim::new(&layouts[t], capacities[t], policy, freqs[t].clone());
@@ -60,28 +47,29 @@ pub fn run(scale: Scale) -> Vec<Row> {
                 }
                 sim.metrics().block_reads
             };
-            reads(AdmissionPolicy::None) as f64
-                / reads(AdmissionPolicy::Threshold { t: threshold }) as f64
-                - 1.0
+            reads(AdmissionPolicy::None) as f64 / reads(tuned) as f64 - 1.0
         };
 
         // Oracle column.
-        let oracle = candidates.iter().map(|&c| full_gain(c)).fold(f64::MIN, f64::max);
+        let oracle = candidates
+            .iter()
+            .map(|&c| full_gain(AdmissionPolicy::Threshold { t: c }))
+            .fold(f64::MIN, f64::max);
         rows.push(Row { table: t + 1, rate: 1.0, gain: oracle });
 
         for &rate in &scale.sampling_rates() {
-            let mut minis = MiniatureCacheSet::new(
+            let tuned = tune_admission(
                 &layouts[t],
                 &freqs[t],
-                capacities[t],
-                rate,
-                &candidates,
-                super::common::SEED,
+                &stream,
+                &TunerConfig {
+                    cache_capacity: capacities[t],
+                    sampling_rate: rate,
+                    candidate_thresholds: candidates.clone(),
+                    salt: super::common::SEED,
+                },
             );
-            for &v in &stream {
-                minis.observe(v);
-            }
-            rows.push(Row { table: t + 1, rate, gain: full_gain(minis.best_threshold()) });
+            rows.push(Row { table: t + 1, rate, gain: full_gain(tuned) });
         }
     }
     rows

@@ -1,17 +1,20 @@
 //! Figure 15: end-to-end gain vs SHP training-set size (limited cache).
 //!
-//! Like Figure 9 but with the full limited-cache pipeline: SHP trained on
-//! 0.2×, 1×, 5× the base trace, thresholds tuned, gains measured against
-//! the baseline on a fixed evaluation trace.
+//! Like Figure 9 but with the store's full limited-cache recipe: SHP
+//! trained on 0.2×, 1×, 5× the base trace, DRAM divided by hit-rate curves,
+//! thresholds tuned, gains measured against the baseline on a fixed
+//! evaluation trace.
 //!
 //! **Paper shape:** every table's gain grows (or holds) with more training
 //! data; table 2 approaches its Figure 13 ceiling.
 
 use crate::output::{pct, TextTable};
 use crate::scale::Scale;
-use bandana_core::pipeline::{run_pipeline_on_traces, PipelineConfig};
-use bandana_core::PartitionerKind;
-use bandana_trace::{ModelSpec, TraceGenerator};
+use bandana_core::store::build_layouts_and_freqs;
+use bandana_core::{
+    curve_sizes, divide_dram, effective_bandwidth_sweep, hit_rate_curves, lookup_weights,
+    tune_tables, PartitionerKind,
+};
 use serde::{Deserialize, Serialize};
 
 /// One sweep point.
@@ -25,29 +28,34 @@ pub struct Row {
     pub gain: f64,
 }
 
-/// Runs the training-size sweep through the full pipeline.
+/// Runs the training-size sweep through the store's build recipe.
 pub fn run(scale: Scale) -> Vec<Row> {
-    let spec = ModelSpec::paper_scaled(scale.spec_scale());
+    let total = scale.default_total_cache();
     let mut rows = Vec::new();
     for &train_requests in &super::fig09::training_sizes(scale) {
-        let mut generator = TraceGenerator::new(&spec, super::common::SEED);
-        let train = generator.generate_requests(train_requests);
-        let eval = generator.generate_requests(scale.eval_requests());
-        let config = PipelineConfig {
-            spec: spec.clone(),
-            train_requests,
-            eval_requests: scale.eval_requests(),
-            partitioner: PartitionerKind::Shp { iterations: scale.shp_iterations() },
-            cache_vectors_total: scale.default_total_cache(),
-            admission: None,
-            candidate_thresholds: super::fig12::thresholds(scale),
-            mini_sampling_rate: 0.25,
-            allocate_by_hit_rate_curves: true,
-            shadow_multiplier: 1.5,
-            seed: super::common::SEED,
-        };
-        let report = run_pipeline_on_traces(&config, &generator, &train, &eval);
-        for g in &report.tables {
+        let w = super::common::workload_with_train(scale, train_requests);
+        let (layouts, freqs) = build_layouts_and_freqs(
+            &w.spec,
+            &w.train,
+            PartitionerKind::Shp { iterations: scale.shp_iterations() },
+            super::common::VECTORS_PER_BLOCK,
+            &[],
+            super::common::SEED,
+        );
+        let curves = hit_rate_curves(&w.train, &curve_sizes(total));
+        let capacities = divide_dram(total, &curves, &lookup_weights(&w.train));
+        let policies = tune_tables(
+            &layouts,
+            &freqs,
+            &w.train,
+            &capacities,
+            0.25,
+            &super::fig12::thresholds(scale),
+            |t| super::common::SEED.wrapping_add(t as u64),
+        );
+        let gains =
+            effective_bandwidth_sweep(&w.eval, &layouts, &freqs, &capacities, &policies, 1.5);
+        for g in gains {
             rows.push(Row { table: g.table + 1, train_requests, gain: g.gain });
         }
     }

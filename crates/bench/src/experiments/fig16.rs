@@ -10,10 +10,11 @@
 
 use crate::output::{pct, TextTable};
 use crate::scale::Scale;
-use bandana_cache::{allocate_dram, AdmissionPolicy, HitRateCurve};
-use bandana_core::{effective_bandwidth_sweep, tune_thresholds, TunerConfig};
+use bandana_core::{
+    curve_sizes, divide_dram, effective_bandwidth_sweep, hit_rate_curves, lookup_weights,
+    tune_tables,
+};
 use bandana_partition::BlockLayout;
-use bandana_trace::StackDistances;
 use serde::{Deserialize, Serialize};
 
 /// Vector sizes swept (bytes).
@@ -33,25 +34,13 @@ pub struct Row {
 /// Runs the vector-size sweep.
 pub fn run(scale: Scale) -> Vec<Row> {
     let w = super::common::workload(scale);
-    let weights = super::common::lookup_weights(&w);
     let freqs = super::common::frequencies(&w);
     let total = scale.default_total_cache();
 
     // Hit-rate curves and DRAM division are byte-size independent (the
     // cache is sized in vectors).
-    let sizes: Vec<usize> = [64usize, 16, 8, 4, 2, 1].iter().map(|d| (total / d).max(1)).collect();
-    let curves: Vec<HitRateCurve> = (0..w.spec.num_tables())
-        .map(|t| {
-            let stream = w.train.table_stream(t);
-            let mut sd = StackDistances::with_capacity(stream.len().max(1));
-            sd.access_all(stream.iter().map(|&v| v as u64));
-            HitRateCurve::new(sd.hit_rate_curve(&sizes))
-        })
-        .collect();
-    let capacities: Vec<usize> = allocate_dram(total, &curves, &weights, (total / 64).max(1))
-        .into_iter()
-        .map(|c| c.max(1))
-        .collect();
+    let curves = hit_rate_curves(&w.train, &curve_sizes(total));
+    let capacities = divide_dram(total, &curves, &lookup_weights(&w.train));
 
     let mut rows = Vec::new();
     for &vb in &VECTOR_SIZES {
@@ -59,22 +48,15 @@ pub fn run(scale: Scale) -> Vec<Row> {
         let layouts: Vec<BlockLayout> = (0..w.spec.num_tables())
             .map(|t| super::common::shp_layout_with_block(&w, t, scale, vectors_per_block))
             .collect();
-        let policies: Vec<AdmissionPolicy> = (0..w.spec.num_tables())
-            .map(|t| {
-                let chosen = tune_thresholds(
-                    &layouts[t],
-                    &freqs[t],
-                    &w.train.table_stream(t),
-                    &TunerConfig {
-                        cache_capacity: capacities[t],
-                        sampling_rate: 0.25,
-                        candidate_thresholds: super::fig12::thresholds(scale),
-                        salt: super::common::SEED,
-                    },
-                );
-                AdmissionPolicy::Threshold { t: chosen }
-            })
-            .collect();
+        let policies = tune_tables(
+            &layouts,
+            &freqs,
+            &w.train,
+            &capacities,
+            0.25,
+            &super::fig12::thresholds(scale),
+            |_| super::common::SEED,
+        );
         let gains =
             effective_bandwidth_sweep(&w.eval, &layouts, &freqs, &capacities, &policies, 1.5);
         for g in gains {

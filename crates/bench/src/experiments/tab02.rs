@@ -8,11 +8,13 @@
 //! **Paper shape:** even 0.1% sampling picks thresholds whose full-cache
 //! gain is close to the oracle's; larger caches choose lower thresholds.
 //! (Our caches are 1000× smaller, so the sampled rates scale up
-//! correspondingly — see EXPERIMENTS.md.)
+//! correspondingly: at the paper's 0.1% a miniature cache of a 40–200
+//! vector cache would hold no vector at all.)
 
 use crate::output::{pct, TextTable};
 use crate::scale::Scale;
-use bandana_cache::{AdmissionPolicy, MiniatureCacheSet, PrefetchCacheSim};
+use bandana_cache::{AdmissionPolicy, PrefetchCacheSim};
+use bandana_core::{tune_admission, TunerConfig};
 use bandana_partition::AccessFrequency;
 use serde::{Deserialize, Serialize};
 
@@ -63,18 +65,17 @@ pub fn run(scale: Scale) -> Vec<Row> {
 
         // Miniature caches at each sampling rate.
         for &rate in &scale.sampling_rates() {
-            let mut minis = MiniatureCacheSet::new(
-                &layout,
-                &freq,
-                cache,
-                rate,
-                &candidates,
-                super::common::SEED,
-            );
-            for &v in &stream {
-                minis.observe(v);
-            }
-            let chosen = minis.best_threshold();
+            let config = TunerConfig {
+                cache_capacity: cache,
+                sampling_rate: rate,
+                candidate_thresholds: candidates.clone(),
+                salt: super::common::SEED,
+            };
+            let AdmissionPolicy::Threshold { t: chosen } =
+                tune_admission(&layout, &freq, &stream, &config)
+            else {
+                unreachable!("the tuner picks a threshold")
+            };
             rows.push(Row {
                 cache_size: cache,
                 rate,

@@ -7,8 +7,9 @@
 //! and the Criterion benches wrap the same `run` functions.
 //!
 //! Everything runs at a configurable [`Scale`]: `Quick` for CI-sized smoke
-//! runs, `Full` for the 1000×-scaled-down-from-production runs recorded in
-//! EXPERIMENTS.md.
+//! runs, `Full` for the 1000×-scaled-down-from-production runs. ROADMAP.md's
+//! "What the paper reproduction says" records what each figure shows at
+//! both scales.
 
 // `deny` rather than `forbid`: the `count-allocs` feature's global
 // allocator is the one narrowly-scoped `unsafe impl` in the workspace.

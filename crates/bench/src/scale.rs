@@ -2,7 +2,9 @@
 //!
 //! The paper runs on 10–20 M-vector tables and billions of lookups. All
 //! reported metrics are ratios over counted block reads, which survive a
-//! uniform scale-down (DESIGN.md §1), so the harness runs the same
+//! uniform scale-down: shrinking tables, caches and traces by one factor
+//! keeps every table's lookup share and the cache-to-table ratio, so the
+//! ratios keep their meaning. The harness therefore runs the same
 //! experiments at 1/1000 of production scale (`Full`) and a further-reduced
 //! smoke size (`Quick`) for CI and Criterion.
 
@@ -13,8 +15,9 @@ use serde::{Deserialize, Serialize};
 pub enum Scale {
     /// CI-sized: ~1–2 K vectors per table, a few hundred thousand lookups.
     Quick,
-    /// The EXPERIMENTS.md size: 10–20 K vectors per table (1000× below
-    /// production), millions of lookups.
+    /// The paper-scale run: 10–20 K vectors per table (1000× below
+    /// production), millions of lookups. ROADMAP.md's "What the paper
+    /// reproduction says" records what each figure shows at both scales.
     Full,
 }
 
@@ -72,8 +75,9 @@ impl Scale {
     }
 
     /// Miniature-cache sampling rates standing in for the paper's
-    /// 10% / 1% / 0.1% (scaled caches are 1000× smaller, so rates scale up
-    /// to keep mini caches non-degenerate; see EXPERIMENTS.md).
+    /// 10% / 1% / 0.1%. Scaled caches are 1000× smaller, so the rates scale
+    /// up: a miniature cache of the scaled size times 0.1% would hold less
+    /// than one vector.
     pub fn sampling_rates(self) -> Vec<f64> {
         match self {
             Scale::Quick => vec![0.5, 0.25, 0.1],

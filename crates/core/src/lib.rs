@@ -16,51 +16,71 @@
 //!
 //! The [`BandanaStore`] is the deployable artifact: it owns a simulated NVM
 //! device ([`nvm_sim`]), stores real embedding bytes, and serves lookups.
-//! The [`pipeline`] module packages the full train → place → tune → serve
-//! loop used by the examples and by every experiment in the paper
-//! reproduction.
+//! [`BandanaStore::build`] runs the paper's offline recipe on a training
+//! trace: place every table, take per-table hit-rate curves
+//! ([`hit_rate_curves`]), divide DRAM by them ([`divide_dram`]), and pick
+//! each table's admission threshold with miniature caches
+//! ([`tune_admission`]). The [`tuner`] module holds those steps as plain
+//! functions, which the paper-reproduction figures call directly;
+//! [`effective_bandwidth_sweep`] scores a recipe's result against the
+//! single-vector baseline.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use bandana_core::pipeline::{run_pipeline, PipelineConfig};
-//! use bandana_core::PartitionerKind;
-//! use bandana_trace::ModelSpec;
+//! use bandana_cache::AdmissionPolicy;
+//! use bandana_core::{BandanaConfig, BandanaStore};
+//! use bandana_trace::{EmbeddingTable, ModelSpec, TraceGenerator};
 //!
-//! let report = run_pipeline(&PipelineConfig {
-//!     spec: ModelSpec::test_small(),
-//!     train_requests: 300,
-//!     eval_requests: 150,
-//!     partitioner: PartitionerKind::Shp { iterations: 8 },
-//!     cache_vectors_total: 512,
-//!     ..PipelineConfig::default()
-//! });
-//! assert_eq!(report.tables.len(), 2);
-//! // SHP placement plus tuned caching beats the single-vector baseline.
-//! assert!(report.overall_gain() > 0.0);
+//! # fn main() -> Result<(), bandana_core::BandanaError> {
+//! let spec = ModelSpec::test_small();
+//! let mut generator = TraceGenerator::new(&spec, 1);
+//! let training = generator.generate_requests(300);
+//! let embeddings: Vec<EmbeddingTable> = (0..spec.num_tables())
+//!     .map(|t| EmbeddingTable::synthesize(
+//!         spec.tables[t].num_vectors, spec.dim, generator.topic_model(t), t as u64))
+//!     .collect();
+//! let config = BandanaConfig::default().with_cache_vectors(512);
+//! let mut store = BandanaStore::build(&spec, &embeddings, &training, config)?;
+//!
+//! // The recipe divided the 512-vector budget and tuned every table.
+//! for t in 0..store.num_tables() {
+//!     let table = store.table(t)?;
+//!     assert!(table.cache_capacity() >= 1);
+//!     assert!(matches!(table.policy(), AdmissionPolicy::Threshold { .. }));
+//! }
+//!
+//! // Serving a fresh trace batches each query's misses into block reads.
+//! for request in &generator.generate_requests(150).requests {
+//!     store.serve_request_batched(request)?;
+//! }
+//! let metrics = store.total_metrics();
+//! assert_eq!(metrics.hits + metrics.misses, metrics.lookups);
+//! # Ok(())
+//! # }
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bandwidth;
-pub mod concurrent;
 pub mod config;
 pub mod error;
 pub mod online;
 mod payload_cache;
-pub mod pipeline;
 pub mod scratch;
 pub mod store;
 pub mod table;
 pub mod tuner;
 
 pub use bandwidth::{effective_bandwidth_sweep, TableGain};
-pub use concurrent::{ConcurrentStore, ThroughputReport};
 pub use config::{BandanaConfig, PartitionerKind};
 pub use error::BandanaError;
 pub use online::{OnlineTuner, OnlineTunerConfig, TuningDecision};
 pub use scratch::BatchScratch;
 pub use store::{BandanaStore, StoreParts};
 pub use table::TableStore;
-pub use tuner::{tune_thresholds, TunerConfig};
+pub use tuner::{
+    curve_sizes, divide_dram, hit_rate_curves, lookup_weights, tune_admission, tune_tables,
+    TunerConfig,
+};

@@ -20,11 +20,10 @@
 //!   [`lookup_batch_with`](crate::TableStore::lookup_batch_with) runs both
 //!   halves back to back.
 //! * Between batches a scratch carries nothing but capacity, so whole
-//!   calls may share one freely *across* tables —
-//!   [`ConcurrentStore`](crate::ConcurrentStore) keeps one next to the
-//!   device lock. A caller that plans several tables before filling any
-//!   (a `bandana-serve` shard worker submits a micro-batch's reads for all
-//!   its tables at once) needs one scratch per table in flight.
+//!   calls may share one freely *across* tables. A caller that plans
+//!   several tables before filling any (a `bandana-serve` shard worker
+//!   submits a micro-batch's reads for all its tables at once) needs one
+//!   scratch per table in flight.
 //! * The output is one flat byte buffer the lookup **copies** every payload
 //!   into — hits from the table's cache arena, misses from the block just
 //!   read — so nothing in it aliases cache or device memory.
@@ -85,8 +84,7 @@ impl BatchScratch {
 
     /// The last call's payloads as owned [`Bytes`], one per id — the
     /// compatibility path behind
-    /// [`TableStore::lookup_batch`](crate::TableStore::lookup_batch) and
-    /// [`ConcurrentStore::lookup_batch`](crate::ConcurrentStore::lookup_batch),
+    /// [`TableStore::lookup_batch`](crate::TableStore::lookup_batch),
     /// which must return owned results. One copy of the flat buffer backs
     /// every returned view; steady-state callers read
     /// [`BatchScratch::out`] in place instead.

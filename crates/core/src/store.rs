@@ -4,12 +4,12 @@ use crate::config::{BandanaConfig, PartitionerKind};
 use crate::error::BandanaError;
 use crate::table::TableStore;
 use crate::tuner;
-use bandana_cache::{allocate_dram, AdmissionPolicy, CacheMetrics, HitRateCurve};
+use bandana_cache::{AdmissionPolicy, CacheMetrics};
 use bandana_partition::{
     kmeans, order_from_assignments, social_hash_partition, two_stage_kmeans, AccessFrequency,
     BlockLayout, KMeansConfig, ShpConfig, TwoStageConfig,
 };
-use bandana_trace::{EmbeddingTable, ModelSpec, Request, StackDistances, Trace};
+use bandana_trace::{EmbeddingTable, ModelSpec, Request, Trace};
 use bytes::Bytes;
 use nvm_sim::{BlockDevice, EnduranceMeter, IoCounters, NvmConfig, NvmDevice};
 
@@ -77,6 +77,13 @@ impl BandanaStore {
                 spec.num_tables()
             )));
         }
+        if training.num_tables != spec.num_tables() {
+            return Err(BandanaError::Config(format!(
+                "training trace over {} tables for {} spec tables",
+                training.num_tables,
+                spec.num_tables()
+            )));
+        }
         let vector_bytes = spec.vector_bytes();
         let vectors_per_block = config.vectors_per_block(vector_bytes);
 
@@ -90,32 +97,25 @@ impl BandanaStore {
             config.seed,
         );
 
-        // 3. DRAM division across tables.
-        let capacities = divide_cache(spec, training, &config);
+        // 2. DRAM division across tables.
+        let capacities = divide_cache(training, &config);
 
-        // 4. Per-table admission policies.
+        // 3. Per-table admission policies.
         let policies: Vec<AdmissionPolicy> = if config.tune_thresholds {
-            (0..spec.num_tables())
-                .map(|t| {
-                    let chosen = tuner::tune_thresholds(
-                        &layouts[t],
-                        &freqs[t],
-                        training.table_stream(t).as_slice(),
-                        &tuner::TunerConfig {
-                            cache_capacity: capacities[t],
-                            sampling_rate: config.mini_sampling_rate,
-                            candidate_thresholds: config.candidate_thresholds.clone(),
-                            salt: config.seed.wrapping_add(t as u64),
-                        },
-                    );
-                    AdmissionPolicy::Threshold { t: chosen }
-                })
-                .collect()
+            tuner::tune_tables(
+                &layouts,
+                &freqs,
+                training,
+                &capacities,
+                config.mini_sampling_rate,
+                &config.candidate_thresholds,
+                |t| config.seed.wrapping_add(t as u64),
+            )
         } else {
             vec![config.admission; spec.num_tables()]
         };
 
-        // 5. Device sizing and table construction.
+        // 4. Device sizing and table construction.
         let total_blocks: u64 = layouts.iter().map(|l| l.num_blocks() as u64).sum();
         let mut device = NvmDevice::new(
             NvmConfig::optane_375gb()
@@ -285,12 +285,6 @@ impl BandanaStore {
         self.device.endurance()
     }
 
-    /// Decomposes the store for the lock-sharded [`crate::ConcurrentStore`].
-    pub(crate) fn into_parts(self) -> (NvmDevice, Vec<TableStore>, BandanaConfig, usize) {
-        let StoreParts { device, tables, config, vector_bytes } = self.into_raw_parts();
-        (device, tables, config, vector_bytes)
-    }
-
     /// Decomposes the store into its raw parts so external serving layers
     /// (e.g. `bandana-serve`) can distribute tables across shard-owned
     /// workers. The tables keep their block offsets into `device`.
@@ -301,11 +295,6 @@ impl BandanaStore {
             config: self.config,
             vector_bytes: self.vector_bytes,
         }
-    }
-
-    /// Converts this store into a thread-safe [`crate::ConcurrentStore`].
-    pub fn into_concurrent(self) -> crate::concurrent::ConcurrentStore {
-        crate::concurrent::ConcurrentStore::from_store(self)
     }
 }
 
@@ -437,34 +426,15 @@ fn build_layout(
 
 /// Divides the DRAM budget across tables: by hit-rate curves (Dynacache
 /// style, §4.3.3) or proportionally to lookup share.
-fn divide_cache(spec: &ModelSpec, training: &Trace, config: &BandanaConfig) -> Vec<usize> {
+fn divide_cache(training: &Trace, config: &BandanaConfig) -> Vec<usize> {
     let total = config.cache_vectors_total;
-    let tables = spec.num_tables();
-    let weights: Vec<f64> = (0..tables)
-        .map(|t| training.table_lookups(t) as f64 / training.total_lookups().max(1) as f64)
-        .collect();
-
-    let capacities = if config.allocate_by_hit_rate_curves {
-        let sizes: Vec<usize> =
-            [64usize, 16, 8, 4, 2, 1].iter().map(|d| (total / d).max(1)).collect();
-        let curves: Vec<HitRateCurve> = (0..tables)
-            .map(|t| {
-                let stream = training.table_stream(t);
-                if stream.is_empty() {
-                    return HitRateCurve::new(vec![(0, 0.0)]);
-                }
-                let mut sd = StackDistances::with_capacity(stream.len());
-                sd.access_all(stream.iter().map(|&v| v as u64));
-                HitRateCurve::new(sd.hit_rate_curve(&sizes))
-            })
-            .collect();
-        let granularity = (total / 64).max(1);
-        allocate_dram(total, &curves, &weights, granularity)
+    let weights = tuner::lookup_weights(training);
+    if config.allocate_by_hit_rate_curves {
+        let curves = tuner::hit_rate_curves(training, &tuner::curve_sizes(total));
+        tuner::divide_dram(total, &curves, &weights)
     } else {
-        weights.iter().map(|w| (total as f64 * w) as usize).collect()
-    };
-    // Every table needs at least one cache slot.
-    capacities.into_iter().map(|c| c.max(1)).collect()
+        weights.iter().map(|w| ((total as f64 * w) as usize).max(1)).collect()
+    }
 }
 
 #[cfg(test)]
@@ -563,6 +533,23 @@ mod tests {
     }
 
     #[test]
+    fn explicit_policy_is_used_verbatim() {
+        let spec = ModelSpec::test_small();
+        let mut generator = TraceGenerator::new(&spec, 11);
+        let training = generator.generate_requests(50);
+        let embeddings: Vec<EmbeddingTable> = (0..spec.num_tables())
+            .map(|t| {
+                let topics = generator.topic_model(t);
+                EmbeddingTable::synthesize(spec.tables[t].num_vectors, spec.dim, topics, t as u64)
+            })
+            .collect();
+        let policy = AdmissionPolicy::All { position: 0.5 };
+        let config = BandanaConfig::default().with_cache_vectors(64).with_admission(policy);
+        let store = BandanaStore::build(&spec, &embeddings, &training, config).unwrap();
+        assert!((0..store.num_tables()).all(|t| store.table(t).unwrap().policy() == policy));
+    }
+
+    #[test]
     fn retrain_tracks_endurance() {
         let (mut store, _, embeddings) = build_store(PartitionerKind::Identity, 64);
         let before = store.endurance().bytes_written();
@@ -585,7 +572,7 @@ mod tests {
         let spec = ModelSpec::test_small();
         let training = TraceGenerator::new(&spec, 3).generate_requests(150);
         let config = BandanaConfig::default().with_cache_vectors(300);
-        let caps = divide_cache(&spec, &training, &config);
+        let caps = divide_cache(&training, &config);
         assert_eq!(caps.len(), 2);
         let sum: usize = caps.iter().sum();
         assert!(sum <= 300 + caps.len(), "allocated {sum} of 300");
@@ -598,7 +585,7 @@ mod tests {
         let training = TraceGenerator::new(&spec, 3).generate_requests(150);
         let mut config = BandanaConfig::default().with_cache_vectors(300);
         config.allocate_by_hit_rate_curves = false;
-        let caps = divide_cache(&spec, &training, &config);
+        let caps = divide_cache(&training, &config);
         let sum: usize = caps.iter().sum();
         assert!(sum <= 301, "allocated {sum}");
     }
@@ -608,6 +595,15 @@ mod tests {
         let spec = ModelSpec::test_small();
         let training = TraceGenerator::new(&spec, 3).generate_requests(10);
         let err = BandanaStore::build(&spec, &[], &training, BandanaConfig::default());
+        assert!(matches!(err, Err(BandanaError::Config(_))));
+    }
+
+    #[test]
+    fn training_trace_over_other_tables_rejected() {
+        let (_, eval, embeddings) = build_store(PartitionerKind::Identity, 64);
+        let spec = ModelSpec::test_small();
+        let training = Trace::new(spec.num_tables() + 1, eval.requests);
+        let err = BandanaStore::build(&spec, &embeddings, &training, BandanaConfig::default());
         assert!(matches!(err, Err(BandanaError::Config(_))));
     }
 }

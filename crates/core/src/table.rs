@@ -413,8 +413,8 @@ impl TableStore {
     /// The DRAM-only half of [`TableStore::lookup`]: validates `v`, records
     /// the lookup, and returns an owned copy of the payload if it is
     /// cached. On `Ok(None)` the caller must complete the lookup with the
-    /// device-side half (`lookup_miss`); [`crate::ConcurrentStore`] uses
-    /// this split to avoid taking the device lock on hits.
+    /// device-side half (`lookup_miss`), so a hit never touches the
+    /// device.
     ///
     /// # Errors
     ///

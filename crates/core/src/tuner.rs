@@ -1,15 +1,63 @@
-//! Threshold auto-tuning with miniature caches (paper §4.3.3).
+//! The offline Bandana recipe (paper §4.3.3 and §5).
 //!
-//! For each table, Bandana simulates one miniature cache per candidate
-//! threshold over a hash-sampled slice of the lookup stream and adopts the
-//! threshold with the best estimated effective bandwidth. Table 2 of the
-//! paper shows 0.1% sampling already picks near-oracle thresholds.
+//! Three steps turn a training trace into per-table cache settings:
+//!
+//! 1. per-table hit-rate curves from the training trace
+//!    ([`hit_rate_curves`], weighted by [`lookup_weights`]);
+//! 2. the DRAM budget divided across tables by those curves
+//!    ([`divide_dram`], Dynacache-style greedy marginal gain);
+//! 3. each table's admission threshold picked by sampled miniature caches
+//!    ([`tune_admission`], [`tune_tables`]): one miniature cache per
+//!    candidate threshold over a hash-sampled slice of the lookup stream,
+//!    and the threshold with the best estimated effective bandwidth wins.
+//!    Table 2 of the paper shows 0.1% sampling already picks near-oracle
+//!    thresholds.
+//!
+//! [`crate::BandanaStore::build`] and every limited-cache figure of the
+//! reproduction run these functions; every knob is an explicit argument.
 
-use bandana_cache::MiniatureCacheSet;
+use bandana_cache::{allocate_dram, AdmissionPolicy, HitRateCurve, MiniatureCacheSet};
 use bandana_partition::{AccessFrequency, BlockLayout};
+use bandana_trace::Trace;
 use serde::{Deserialize, Serialize};
 
-/// Configuration for [`tune_thresholds`].
+/// Each table's share of the trace's lookups (Table 1's "% of total"): the
+/// weights of the DRAM division.
+pub fn lookup_weights(train: &Trace) -> Vec<f64> {
+    let total = train.total_lookups().max(1) as f64;
+    (0..train.num_tables).map(|t| train.table_lookups(t) as f64 / total).collect()
+}
+
+/// The cache sizes at which the DRAM division samples each table's
+/// hit-rate curve: 1/64, 1/16, 1/8, 1/4, 1/2 and all of `total`.
+pub fn curve_sizes(total: usize) -> Vec<usize> {
+    [64usize, 16, 8, 4, 2, 1].iter().map(|d| (total / d).max(1)).collect()
+}
+
+/// Every table's exact LRU hit-rate curve over its lookups in `train`,
+/// sampled at `sizes`. A table the trace never touches gets a flat zero
+/// curve.
+pub fn hit_rate_curves(train: &Trace, sizes: &[usize]) -> Vec<HitRateCurve> {
+    (0..train.num_tables)
+        .map(|t| {
+            let stream = train.table_stream(t);
+            let points = bandana_trace::hit_rate_curve(stream.iter().map(|&v| v as u64), sizes);
+            HitRateCurve::new(points)
+        })
+        .collect()
+}
+
+/// Divides `total` cache vectors across tables by greedy marginal gain over
+/// their hit-rate curves, in steps of `total / 64`. Every table gets at
+/// least one slot.
+pub fn divide_dram(total: usize, curves: &[HitRateCurve], weights: &[f64]) -> Vec<usize> {
+    allocate_dram(total, curves, weights, (total / 64).max(1))
+        .into_iter()
+        .map(|c| c.max(1))
+        .collect()
+}
+
+/// Configuration of [`tune_admission`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TunerConfig {
     /// The production cache size being tuned for, in vectors.
@@ -33,34 +81,38 @@ impl Default for TunerConfig {
     }
 }
 
-/// Picks the best admission threshold for one table by simulating miniature
-/// caches over `stream` (the table's lookup ids, in order).
+/// Picks one table's admission policy by simulating miniature caches over
+/// `stream` (the table's lookup ids, in order).
 ///
-/// Returns the winning threshold from `config.candidate_thresholds`.
+/// Returns [`AdmissionPolicy::Threshold`] at the winning candidate of
+/// `config.candidate_thresholds`.
 ///
 /// # Example
 ///
 /// ```
-/// use bandana_core::{tune_thresholds, TunerConfig};
+/// use bandana_cache::AdmissionPolicy;
+/// use bandana_core::{tune_admission, TunerConfig};
 /// use bandana_partition::{AccessFrequency, BlockLayout};
 ///
 /// let layout = BlockLayout::identity(512, 32);
 /// let freq = AccessFrequency::zeros(512);
 /// let stream: Vec<u32> = (0..2000).map(|i| (i * 7) % 512).collect();
 /// let config = TunerConfig { cache_capacity: 128, sampling_rate: 0.5, ..Default::default() };
-/// let t = tune_thresholds(&layout, &freq, &stream, &config);
+/// let AdmissionPolicy::Threshold { t } = tune_admission(&layout, &freq, &stream, &config) else {
+///     unreachable!("the tuner picks a threshold")
+/// };
 /// assert!(config.candidate_thresholds.contains(&t));
 /// ```
 ///
 /// # Panics
 ///
 /// Panics if the candidate list is empty or the capacity is zero.
-pub fn tune_thresholds(
+pub fn tune_admission(
     layout: &BlockLayout,
     freq: &AccessFrequency,
     stream: &[u32],
     config: &TunerConfig,
-) -> u32 {
+) -> AdmissionPolicy {
     let mut minis = MiniatureCacheSet::new(
         layout,
         freq,
@@ -69,46 +121,34 @@ pub fn tune_thresholds(
         &config.candidate_thresholds,
         config.salt,
     );
-    for &v in stream {
-        minis.observe(v);
-    }
-    minis.best_threshold()
+    minis.observe_all(stream);
+    AdmissionPolicy::Threshold { t: minis.best_threshold() }
 }
 
-/// Runs the tuner at several sampling rates plus the full-cache oracle and
-/// returns `(rate, chosen threshold, estimated gain)` rows — the data of the
-/// paper's Table 2 and Figure 14.
-pub fn sampling_rate_study(
-    layout: &BlockLayout,
-    freq: &AccessFrequency,
-    stream: &[u32],
-    cache_capacity: usize,
+/// Tunes every table with [`tune_admission`] over its lookups in `train`,
+/// at its cache capacity, with `salt(t)` as table `t`'s hash salt.
+pub fn tune_tables(
+    layouts: &[BlockLayout],
+    freqs: &[AccessFrequency],
+    train: &Trace,
+    capacities: &[usize],
+    sampling_rate: f64,
     candidate_thresholds: &[u32],
-    rates: &[f64],
-    salt: u64,
-) -> Vec<(f64, u32, f64)> {
-    rates
-        .iter()
-        .map(|&rate| {
-            let mut minis = MiniatureCacheSet::new(
-                layout,
-                freq,
-                cache_capacity,
-                rate,
-                candidate_thresholds,
-                salt,
-            );
-            for &v in stream {
-                minis.observe(v);
-            }
-            let t = minis.best_threshold();
-            let gain = minis
-                .estimated_gains()
-                .into_iter()
-                .find(|&(tt, _)| tt == t)
-                .map(|(_, g)| g)
-                .unwrap_or(0.0);
-            (rate, t, gain)
+    salt: impl Fn(usize) -> u64,
+) -> Vec<AdmissionPolicy> {
+    (0..layouts.len())
+        .map(|t| {
+            tune_admission(
+                &layouts[t],
+                &freqs[t],
+                &train.table_stream(t),
+                &TunerConfig {
+                    cache_capacity: capacities[t],
+                    sampling_rate,
+                    candidate_thresholds: candidate_thresholds.to_vec(),
+                    salt: salt(t),
+                },
+            )
         })
         .collect()
 }
@@ -116,6 +156,7 @@ pub fn sampling_rate_study(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bandana_trace::{ModelSpec, TraceGenerator};
 
     /// A workload where the hot half of each block is worth prefetching and
     /// the cold half is pollution; training frequencies separate them.
@@ -149,28 +190,41 @@ mod tests {
             candidate_thresholds: vec![5, 10, 1000],
             salt: 1,
         };
-        let t = tune_thresholds(&layout, &freq, &stream, &cfg);
-        assert!(cfg.candidate_thresholds.contains(&t));
+        let policy = tune_admission(&layout, &freq, &stream, &cfg);
         // Hot vectors appear ~100 times in training; t=1000 blocks all
         // prefetching and must lose to an admitting threshold.
-        assert_ne!(t, 1000);
+        assert!(matches!(policy, AdmissionPolicy::Threshold { t: 5 | 10 }), "{policy:?}");
     }
 
     #[test]
     fn sampled_tuning_matches_full_cache_choice() {
         let (layout, freq, stream) = skewed_setup();
-        let rows = sampling_rate_study(&layout, &freq, &stream, 256, &[5, 1000], &[1.0, 0.25], 2);
-        assert_eq!(rows.len(), 2);
-        let full = rows[0].1;
-        let sampled = rows[1].1;
-        assert_eq!(full, sampled, "sampled tuner diverged: {rows:?}");
+        let tune = |sampling_rate| {
+            let cfg = TunerConfig {
+                cache_capacity: 256,
+                sampling_rate,
+                candidate_thresholds: vec![5, 1000],
+                salt: 2,
+            };
+            tune_admission(&layout, &freq, &stream, &cfg)
+        };
+        assert_eq!(tune(1.0), tune(0.25), "sampled tuner diverged");
     }
 
     #[test]
-    fn gains_are_reported() {
-        let (layout, freq, stream) = skewed_setup();
-        let rows = sampling_rate_study(&layout, &freq, &stream, 256, &[5], &[1.0], 3);
-        // Prefetching the hot half of each block must be a large win.
-        assert!(rows[0].2 > 1.0, "expected a big gain, got {rows:?}");
+    fn lookup_weights_sum_to_one() {
+        let spec = ModelSpec::paper_scaled(20_000);
+        let train = TraceGenerator::new(&spec, 3).generate_requests(100);
+        let weights = lookup_weights(&train);
+        assert_eq!(weights.len(), spec.num_tables());
+        assert!((weights.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn an_untouched_table_gets_a_flat_curve() {
+        let train = Trace::new(2, Vec::new());
+        let curves = hit_rate_curves(&train, &curve_sizes(128));
+        assert!(curves.iter().all(|c| c.hit_rate_at(128) == 0.0));
+        assert_eq!(divide_dram(128, &curves, &lookup_weights(&train)).len(), 2);
     }
 }

@@ -84,8 +84,9 @@ impl ModelSpec {
     /// | 7     | 10 M    | 54.35       | 14.73% | 11.36% |
     /// | 8     | 20 M    | 17.68       |  4.79% | 60.83% |
     ///
-    /// The skew/noise parameters below were calibrated (see EXPERIMENTS.md)
-    /// so that the *ordering* of cacheability matches the paper: tables 1–2
+    /// The skew/noise parameters below are set so that the *ordering* of
+    /// cacheability matches the paper (`repro table1` and `repro fig3` show
+    /// it): tables 1–2
     /// have low compulsory-miss rates and long LRU-friendly tails, table 8 is
     /// dominated by compulsory misses, and the rest sit in between.
     ///

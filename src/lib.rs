@@ -280,8 +280,7 @@ pub use nvm_sim as nvm;
 pub mod prelude {
     pub use bandana_cache::{AdmissionPolicy, AllocationPolicy, CacheMetrics, PolicyKind};
     pub use bandana_core::{
-        BandanaConfig, BandanaError, BandanaStore, BatchScratch, ConcurrentStore, PartitionerKind,
-        TableStore, ThroughputReport,
+        BandanaConfig, BandanaError, BandanaStore, BatchScratch, PartitionerKind, TableStore,
     };
     pub use bandana_partition::{AccessFrequency, BlockLayout};
     pub use bandana_persist::{PersistConfig, Persistence};

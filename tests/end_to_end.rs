@@ -22,6 +22,20 @@ fn fixture(seed: u64) -> (ModelSpec, TraceGenerator, Trace, Trace, Vec<Embedding
     (spec, generator, train, eval, embeddings)
 }
 
+/// One synthesized embedding table per spec table, seeded by table index.
+fn synthesize(spec: &ModelSpec, generator: &TraceGenerator) -> Vec<EmbeddingTable> {
+    (0..spec.num_tables())
+        .map(|t| {
+            EmbeddingTable::synthesize(
+                spec.tables[t].num_vectors,
+                spec.dim,
+                generator.topic_model(t),
+                t as u64,
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn full_stack_serves_correct_bytes_under_all_partitioners() {
     let (spec, _generator, train, eval, embeddings) = fixture(1);
@@ -89,9 +103,38 @@ fn store_metrics_reconcile_with_device_counters() {
     assert_eq!(m.hits + m.misses, m.lookups);
     assert_eq!(store.device_counters().reads, m.block_reads);
     assert_eq!(store.device_counters().bytes_read, m.block_reads * 4096);
+    // One lookup at a time, every miss costs exactly one block read.
+    assert_eq!(m.block_reads, m.misses);
     // Per-table metrics sum to the total.
-    let sum: u64 = store.table_metrics().iter().map(|t| t.lookups).sum();
-    assert_eq!(sum, m.lookups);
+    let per_table = store.table_metrics();
+    assert_eq!(per_table.iter().map(|t| t.lookups).sum::<u64>(), m.lookups);
+    assert_eq!(per_table.iter().map(|t| t.block_reads).sum::<u64>(), m.block_reads);
+}
+
+#[test]
+fn reset_metrics_clears_counters_but_keeps_cache() {
+    let spec = ModelSpec::test_small();
+    let mut generator = TraceGenerator::new(&spec, 4);
+    let training = generator.generate_requests(300);
+    let embeddings = synthesize(&spec, &generator);
+    // A cache big enough (6144 ≥ both tables' id spaces) that the whole
+    // working set survives the first pass.
+    let config = BandanaConfig::default().with_cache_vectors(6144);
+    let mut store = BandanaStore::build(&spec, &embeddings, &training, config).unwrap();
+    let serving = generator.generate_requests(100);
+    store.serve_trace(&serving).unwrap();
+    let cold_hit_rate = store.total_metrics().hit_rate();
+    store.reset_metrics();
+    assert_eq!(store.total_metrics().lookups, 0);
+    assert_eq!(store.device_counters().reads, 0);
+    // Replaying the same trace against the warm cache hits ~everything.
+    store.serve_trace(&serving).unwrap();
+    let warm = store.total_metrics();
+    assert!(
+        warm.hit_rate() > 0.95 && warm.hit_rate() > cold_hit_rate,
+        "warm replay ({:.2}) should beat the cold run ({cold_hit_rate:.2})",
+        warm.hit_rate()
+    );
 }
 
 #[test]
@@ -168,16 +211,7 @@ fn batched_serving_reduces_device_reads() {
     let spec = ModelSpec::test_small();
     let mut generator = TraceGenerator::new(&spec, 77);
     let training = generator.generate_requests(300);
-    let embeddings: Vec<EmbeddingTable> = (0..spec.num_tables())
-        .map(|t| {
-            EmbeddingTable::synthesize(
-                spec.tables[t].num_vectors,
-                spec.dim,
-                generator.topic_model(t),
-                t as u64,
-            )
-        })
-        .collect();
+    let embeddings = synthesize(&spec, &generator);
     let serving = generator.generate_requests(200);
     let build = || {
         BandanaStore::build(
@@ -216,4 +250,29 @@ fn batched_serving_reduces_device_reads() {
             assert_eq!(b.as_ref(), embeddings[q.table].vector_as_bytes(v).as_slice());
         }
     }
+}
+
+/// Pins what `BandanaStore::build` decides for one fixed spec and seed,
+/// with DRAM divided by hit-rate curves and thresholds tuned by miniature
+/// caches: a change to the offline recipe that moves any table's capacity
+/// or threshold fails here.
+#[test]
+fn build_decisions_are_pinned() {
+    let spec = ModelSpec::paper_scaled(40_000);
+    let mut generator = TraceGenerator::new(&spec, 21);
+    let train = generator.generate_requests(150);
+    let embeddings = synthesize(&spec, &generator);
+    let mut config = BandanaConfig::default()
+        .with_cache_vectors(300)
+        .with_partitioner(PartitionerKind::Shp { iterations: 4 })
+        .with_seed(21);
+    config.candidate_thresholds = vec![1, 2, 4, 8];
+    assert!(config.tune_thresholds && config.allocate_by_hit_rate_curves);
+    let store = BandanaStore::build(&spec, &embeddings, &train, config).unwrap();
+    let tables = || (0..store.num_tables()).map(|t| store.table(t).unwrap());
+    let capacities: Vec<usize> = tables().map(|t| t.cache_capacity()).collect();
+    let policies: Vec<AdmissionPolicy> = tables().map(|t| t.policy()).collect();
+    assert_eq!(capacities, [48, 152, 4, 4, 16, 36, 40, 1]);
+    let t = |t| AdmissionPolicy::Threshold { t };
+    assert_eq!(policies, [t(8), t(8), t(8), t(8), t(8), t(4), t(8), t(8)]);
 }
