@@ -103,24 +103,52 @@ fn store_metrics_reconcile_with_device_counters() {
     assert_eq!(m.hits + m.misses, m.lookups);
     assert_eq!(store.device_counters().reads, m.block_reads);
     assert_eq!(store.device_counters().bytes_read, m.block_reads * 4096);
-    // One lookup at a time, every miss costs exactly one block read.
-    assert_eq!(m.block_reads, m.misses);
     // Per-table metrics sum to the total.
+    let sum: u64 = store.table_metrics().iter().map(|t| t.lookups).sum();
+    assert_eq!(sum, m.lookups);
+}
+
+/// A store over `ModelSpec::test_small()` trained on 300 requests, and the
+/// generator to draw serving traffic from.
+fn small_store(seed: u64, cache: usize) -> (BandanaStore, TraceGenerator) {
+    let spec = ModelSpec::test_small();
+    let mut generator = TraceGenerator::new(&spec, seed);
+    let training = generator.generate_requests(300);
+    let embeddings = synthesize(&spec, &generator);
+    let config = BandanaConfig::default().with_cache_vectors(cache);
+    let store = BandanaStore::build(&spec, &embeddings, &training, config).unwrap();
+    (store, generator)
+}
+
+#[test]
+fn metrics_are_internally_consistent_after_trace() {
+    let (mut store, mut generator) = small_store(2, 256);
+    let serving = generator.generate_requests(300);
+    store.serve_trace(&serving).unwrap();
+    let m = store.total_metrics();
+    assert_eq!(m.lookups, serving.total_lookups() as u64);
+    assert_eq!(m.hits + m.misses, m.lookups);
+    assert_eq!(m.block_reads, m.misses, "every miss costs exactly one block read");
+    // Device counters agree with cache accounting.
+    assert_eq!(store.device_counters().reads, m.block_reads);
+}
+
+#[test]
+fn per_table_metrics_sum_to_total() {
+    let (mut store, mut generator) = small_store(5, 256);
+    let serving = generator.generate_requests(200);
+    store.serve_trace(&serving).unwrap();
     let per_table = store.table_metrics();
-    assert_eq!(per_table.iter().map(|t| t.lookups).sum::<u64>(), m.lookups);
-    assert_eq!(per_table.iter().map(|t| t.block_reads).sum::<u64>(), m.block_reads);
+    let total = store.total_metrics();
+    assert_eq!(per_table.iter().map(|m| m.lookups).sum::<u64>(), total.lookups);
+    assert_eq!(per_table.iter().map(|m| m.block_reads).sum::<u64>(), total.block_reads);
 }
 
 #[test]
 fn reset_metrics_clears_counters_but_keeps_cache() {
-    let spec = ModelSpec::test_small();
-    let mut generator = TraceGenerator::new(&spec, 4);
-    let training = generator.generate_requests(300);
-    let embeddings = synthesize(&spec, &generator);
     // A cache big enough (6144 ≥ both tables' id spaces) that the whole
     // working set survives the first pass.
-    let config = BandanaConfig::default().with_cache_vectors(6144);
-    let mut store = BandanaStore::build(&spec, &embeddings, &training, config).unwrap();
+    let (mut store, mut generator) = small_store(4, 6144);
     let serving = generator.generate_requests(100);
     store.serve_trace(&serving).unwrap();
     let cold_hit_rate = store.total_metrics().hit_rate();
