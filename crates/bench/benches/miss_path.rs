@@ -17,7 +17,7 @@ use nvm_sim::{BlockBufPool, QueueDepthTracker, QueueModel};
 
 /// The `nvm_bound` store: `paper_scaled(4000)` (8 tables, 27 500 vectors of
 /// 128 B), SHP on 1 500 training requests, 1 000 cached vectors divided by
-/// hit-rate curves, the default prefetch admission.
+/// hit-rate curves, the default admission.
 const PAPER_SCALE: u32 = 4_000;
 const TRAINING_REQUESTS: usize = 1_500;
 const CACHE_VECTORS: usize = 1_000;
@@ -29,10 +29,16 @@ const REQUESTS: usize = 200;
 const BATCH_READS: u64 = 131;
 const QUEUE_DEPTH: u32 = 4;
 
-/// `lookup_batch_with` where ~0.39 block reads per lookup remain: each miss
-/// group reads a block, copies the demanded payloads out and offers the
-/// block's other vectors to the admission policy — the prefetch sweep is
-/// most of the cost, and at this cache size very little of it pays back.
+/// `lookup_batch_with` where ~0.39 block reads per lookup remain, in two
+/// arms over the same store and requests:
+///
+/// - `tuned`: each table's tuned threshold. Each miss group reads a block,
+///   copies the demanded payloads out and offers the block's other vectors
+///   to the admission policy — the prefetch sweep is most of the cost, and
+///   at this cache size very little of it pays back.
+/// - `set`: the block-aware admission set the store serves by default.
+///   Once the set is resident nothing is inserted or evicted, and a
+///   rejected block-mate costs one bit test.
 fn bench_lookup_batch_miss_heavy(c: &mut Criterion) {
     let spec = ModelSpec::paper_scaled(PAPER_SCALE);
     let mut generator = TraceGenerator::new(&spec, SEED);
@@ -47,45 +53,50 @@ fn bench_lookup_batch_miss_heavy(c: &mut Criterion) {
             )
         })
         .collect();
-    let config = BandanaConfig::default().with_cache_vectors(CACHE_VECTORS).with_seed(SEED);
-    let store =
-        BandanaStore::build(&spec, &embeddings, &training, config).expect("the store builds");
-    let mut parts = store.into_raw_parts();
     let requests = generator.generate_requests(2 * REQUESTS).requests;
-
-    let mut scratch = BatchScratch::new();
-    let mut pool = BlockBufPool::default();
-    let mut replay = |requests: &[Request]| {
-        for request in requests {
-            for query in &request.queries {
-                parts.tables[query.table]
-                    .lookup_batch_with(&mut parts.device, &query.ids, &mut scratch, &mut pool)
-                    .expect("generated ids are in range");
-            }
-        }
-        black_box(scratch.out().len())
-    };
     let (warm, timed) = requests.split_at(REQUESTS);
-    replay(warm);
-
     let lookups: usize = timed.iter().map(Request::total_lookups).sum();
     let mut group = c.benchmark_group("miss_path");
     group.throughput(Throughput::Elements(lookups as u64));
-    group.bench_function("lookup_batch_with/nvm_bound_3_6pct_cache", |b| {
-        b.iter(|| replay(timed));
-    });
-    group.finish();
+    for (arm, on_set) in [("tuned", false), ("set", true)] {
+        let config = BandanaConfig::default().with_cache_vectors(CACHE_VECTORS).with_seed(SEED);
+        let store =
+            BandanaStore::build(&spec, &embeddings, &training, config).expect("the store builds");
+        let mut parts = store.into_raw_parts();
+        if !on_set {
+            for table in &mut parts.tables {
+                table.set_policy(table.fallback_policy(), table.shadow_multiplier());
+            }
+        }
+        let mut scratch = BatchScratch::new();
+        let mut pool = BlockBufPool::default();
+        let mut replay = |requests: &[Request]| {
+            for request in requests {
+                for query in &request.queries {
+                    parts.tables[query.table]
+                        .lookup_batch_with(&mut parts.device, &query.ids, &mut scratch, &mut pool)
+                        .expect("generated ids are in range");
+                }
+            }
+            black_box(scratch.out().len())
+        };
+        replay(warm);
+        group.bench_function(format!("lookup_batch_with/nvm_bound_3_6pct_cache/{arm}"), |b| {
+            b.iter(|| replay(timed));
+        });
 
-    let (mut probes, mut reads) = (0, 0);
-    for table in &parts.tables {
-        probes += table.metrics().lookups;
-        reads += table.metrics().block_reads;
+        let (mut probes, mut reads) = (0, 0);
+        for table in &parts.tables {
+            probes += table.metrics().lookups;
+            reads += table.metrics().block_reads;
+        }
+        let reads_per_lookup = reads as f64 / probes as f64;
+        assert!(
+            (0.25..0.6).contains(&reads_per_lookup),
+            "{arm}: not the nvm_bound shape any more: {reads_per_lookup:.3} block reads per lookup"
+        );
     }
-    let reads_per_lookup = reads as f64 / probes as f64;
-    assert!(
-        (0.25..0.6).contains(&reads_per_lookup),
-        "not the nvm_bound shape any more: {reads_per_lookup:.3} block reads per lookup"
-    );
+    group.finish();
 }
 
 /// One micro-batch's submission: the depth-4 schedule of 131 reads into a

@@ -50,7 +50,7 @@ pub mod policy;
 pub mod shadow;
 pub mod sim;
 
-pub use admission::AdmissionPolicy;
+pub use admission::{AdmissionPolicy, AdmissionSet};
 pub use alloc::{allocate_dram, allocation_hit_rate};
 pub use allocator::{allocate_with, compare_policies, AllocationPolicy};
 pub use curve::CurveSampler;

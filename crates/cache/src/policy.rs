@@ -565,7 +565,8 @@ impl<'a> PolicySim<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `cache_capacity` is zero.
+    /// Panics if `cache_capacity` is zero or the policy is
+    /// [`AdmissionPolicy::Set`], whose set this simulator does not hold.
     pub fn new(
         layout: &'a BlockLayout,
         cache_capacity: usize,
@@ -574,6 +575,7 @@ impl<'a> PolicySim<'a> {
         kind: PolicyKind,
     ) -> Self {
         assert!(cache_capacity > 0, "cache capacity must be non-zero");
+        assert!(!policy.is_set(), "the set policy needs its set: use PrefetchCacheSim::with_set");
         let shadow = policy
             .needs_shadow()
             .then(|| ShadowCache::new(cache_capacity, crate::sim::DEFAULT_SHADOW_MULTIPLIER));

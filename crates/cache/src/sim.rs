@@ -7,7 +7,7 @@
 //! tracks ids only and is what the miniature caches (§4.3.3) replicate at
 //! small scale.
 
-use crate::admission::AdmissionPolicy;
+use crate::admission::{AdmissionPolicy, AdmissionSet};
 use crate::lru::SegmentedLru;
 use crate::metrics::CacheMetrics;
 use crate::shadow::ShadowCache;
@@ -57,6 +57,9 @@ pub struct PrefetchCacheSim<'a> {
     policy: AdmissionPolicy,
     cache: SegmentedLru<Origin>,
     shadow: Option<ShadowCache>,
+    /// The members under [`AdmissionPolicy::Set`]; `None` under any other
+    /// policy.
+    set: Option<AdmissionSet>,
     metrics: CacheMetrics,
 }
 
@@ -86,8 +89,9 @@ impl<'a> PrefetchCacheSim<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `cache_capacity` is zero or the policy needs a shadow cache
-    /// and `shadow_multiplier` is not positive.
+    /// Panics if `cache_capacity` is zero, if the policy needs a shadow cache
+    /// and `shadow_multiplier` is not positive, or if the policy is
+    /// [`AdmissionPolicy::Set`] (use [`PrefetchCacheSim::with_set`]).
     pub fn with_shadow_multiplier(
         layout: &'a BlockLayout,
         cache_capacity: usize,
@@ -96,6 +100,7 @@ impl<'a> PrefetchCacheSim<'a> {
         shadow_multiplier: f64,
     ) -> Self {
         assert!(cache_capacity > 0, "cache capacity must be non-zero");
+        assert!(!policy.is_set(), "the set policy needs its set: use PrefetchCacheSim::with_set");
         let segments = if policy.inserts_below_top() { SEGMENTS.min(cache_capacity) } else { 1 };
         let shadow =
             policy.needs_shadow().then(|| ShadowCache::new(cache_capacity, shadow_multiplier));
@@ -105,8 +110,29 @@ impl<'a> PrefetchCacheSim<'a> {
             policy,
             cache: SegmentedLru::new(cache_capacity, segments),
             shadow,
+            set: None,
             metrics: CacheMetrics::new(),
         }
+    }
+
+    /// Creates a simulator under [`AdmissionPolicy::Set`]: a vector is
+    /// cached, on demand or as a prefetch, only if `set` holds it. Each
+    /// lookup is served as a batch of one, as `bandana_core::TableStore`
+    /// serves a batched read under the set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache_capacity` is zero.
+    pub fn with_set(
+        layout: &'a BlockLayout,
+        cache_capacity: usize,
+        set: AdmissionSet,
+        freq: AccessFrequency,
+    ) -> Self {
+        let mut sim = Self::new(layout, cache_capacity, AdmissionPolicy::None, freq);
+        sim.policy = AdmissionPolicy::Set;
+        sim.set = Some(set);
+        sim
     }
 
     /// Serves one application lookup; returns `true` on a DRAM hit.
@@ -135,14 +161,16 @@ impl<'a> PrefetchCacheSim<'a> {
         self.metrics.block_reads += 1;
         let block = self.layout.block_of(v);
 
-        // The requested vector is always cached at the queue top.
-        if self.cache.insert(v as u64, Origin::Demand, 0.0).is_some() {
+        // The requested vector is cached at the queue top, under the set
+        // policy only if it is a member.
+        let admits = |u: u32| self.set.as_ref().is_none_or(|s| s.contains(u));
+        if admits(v) && self.cache.insert(v as u64, Origin::Demand, 0.0).is_some() {
             self.metrics.evictions += 1;
         }
 
         if self.policy.prefetches() {
             for &u in self.layout.vectors_in_block(block) {
-                if u == v || self.cache.contains(u as u64) {
+                if u == v || !admits(u) || self.cache.contains(u as u64) {
                     continue;
                 }
                 let shadow_hit = self.shadow.as_ref().is_some_and(|s| s.contains(u as u64));
@@ -172,6 +200,17 @@ impl<'a> PrefetchCacheSim<'a> {
     /// The admission policy in force.
     pub fn policy(&self) -> AdmissionPolicy {
         self.policy
+    }
+
+    /// The cached vectors, MRU first, each with whether it was
+    /// demand-fetched (or a prefetch since hit) — the shape of
+    /// `bandana_core::TableStore::cache_snapshot`.
+    pub fn cache_snapshot(&self) -> Vec<(u32, bool)> {
+        self.cache
+            .entries_in_order()
+            .into_iter()
+            .map(|(k, &origin)| (k as u32, origin == Origin::Demand))
+            .collect()
     }
 
     /// Current number of cached vectors.
@@ -293,6 +332,30 @@ mod tests {
         assert_eq!(sim.metrics().prefetches_admitted, 1); // only vector 1
         assert!(sim.cache.contains(1));
         assert!(!sim.cache.contains(2));
+    }
+
+    #[test]
+    fn set_gates_demand_and_prefetch_alike() {
+        let layout = layout_16x4();
+        let set = AdmissionSet::from_ids(16, [1, 2, 5]);
+        let mut sim = PrefetchCacheSim::with_set(&layout, 3, set, AccessFrequency::zeros(16));
+        assert_eq!(sim.policy(), AdmissionPolicy::Set);
+        sim.lookup(0); // not a member: read, not cached; 1 and 2 prefetched
+        assert!(!sim.cache.contains(0) && sim.cache.contains(1) && sim.cache.contains(2));
+        sim.lookup(5); // a member, cached on demand
+        for v in [0, 4, 6, 7, 8, 12] {
+            sim.lookup(v);
+        }
+        let m = sim.metrics();
+        assert_eq!((m.block_reads, m.prefetches_admitted, m.evictions), (8, 2, 0));
+        assert!(sim.lookup(1) && sim.lookup(2) && sim.lookup(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "with_set")]
+    fn the_set_policy_needs_its_set() {
+        let layout = layout_16x4();
+        let _ = PrefetchCacheSim::new(&layout, 4, AdmissionPolicy::Set, AccessFrequency::zeros(16));
     }
 
     #[test]

@@ -67,6 +67,8 @@ pub struct BandanaConfig {
     /// Shadow cache multiplier (only used by shadow policies).
     pub shadow_multiplier: f64,
     /// Enable per-table threshold tuning with miniature caches (§4.3.3).
+    /// The store then serves a block-aware admission set in front of each
+    /// tuned threshold ([`crate::tuner::block_aware_sets`]).
     pub tune_thresholds: bool,
     /// Candidate thresholds for the tuner (Figure 12 sweeps 5–20).
     pub candidate_thresholds: Vec<u32>,
@@ -108,8 +110,9 @@ impl BandanaConfig {
         self
     }
 
-    /// Sets the admission policy (and disables threshold tuning, since an
-    /// explicit policy is a manual override).
+    /// Sets the admission policy (and disables threshold tuning and with
+    /// it the block-aware set, since an explicit policy is a manual
+    /// override).
     pub fn with_admission(mut self, admission: AdmissionPolicy) -> Self {
         self.admission = admission;
         self.tune_thresholds = false;

@@ -43,11 +43,13 @@
 //! let config = BandanaConfig::default().with_cache_vectors(512);
 //! let mut store = BandanaStore::build(&spec, &embeddings, &training, config)?;
 //!
-//! // The recipe divided the 512-vector budget and tuned every table.
+//! // The recipe divided the 512-vector budget and tuned every table: a
+//! // block-aware set serves, in front of the threshold it retires to.
 //! for t in 0..store.num_tables() {
 //!     let table = store.table(t)?;
 //!     assert!(table.cache_capacity() >= 1);
-//!     assert!(matches!(table.policy(), AdmissionPolicy::Threshold { .. }));
+//!     assert_eq!(table.policy(), AdmissionPolicy::Set);
+//!     assert!(matches!(table.fallback_policy(), AdmissionPolicy::Threshold { .. }));
 //! }
 //!
 //! // Serving a fresh trace batches each query's misses into block reads.
@@ -81,6 +83,6 @@ pub use scratch::BatchScratch;
 pub use store::{BandanaStore, StoreParts};
 pub use table::TableStore;
 pub use tuner::{
-    curve_sizes, divide_dram, hit_rate_curves, lookup_weights, tune_admission, tune_tables,
-    TunerConfig,
+    block_aware_set, block_aware_sets, curve_sizes, divide_dram, hit_rate_curves, lookup_weights,
+    tune_admission, tune_tables, BlockAwareSet, TunerConfig, FIT_BATCH_REQUESTS,
 };

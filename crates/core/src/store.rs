@@ -52,11 +52,16 @@ pub struct BandanaStore {
 
 impl BandanaStore {
     /// Builds the store: partitions every table, sizes the per-table DRAM
-    /// caches, tunes admission thresholds, and writes all embeddings to the
-    /// simulated NVM device.
+    /// caches, tunes admission, and writes all embeddings to the simulated
+    /// NVM device.
     ///
     /// `training` drives the supervised parts: SHP placement, access
-    /// frequencies, hit-rate curves, and miniature-cache tuning.
+    /// frequencies, hit-rate curves, and admission tuning. With
+    /// `tune_thresholds` on, each table gets the threshold its miniature
+    /// caches pick and then the block-aware admission set solved at its
+    /// capacity ([`tuner::block_aware_sets`]); the set serves until a live
+    /// change retires it to that threshold
+    /// ([`TableStore::install_set`]).
     ///
     /// # Errors
     ///
@@ -100,9 +105,10 @@ impl BandanaStore {
         // 2. DRAM division across tables.
         let capacities = divide_cache(training, &config);
 
-        // 3. Per-table admission policies.
-        let policies: Vec<AdmissionPolicy> = if config.tune_thresholds {
-            tuner::tune_tables(
+        // 3. Per-table admission: a tuned threshold, and the block-aware
+        // set that serves in front of it.
+        let (policies, mut sets): (Vec<AdmissionPolicy>, Vec<_>) = if config.tune_thresholds {
+            let policies = tuner::tune_tables(
                 &layouts,
                 &freqs,
                 training,
@@ -110,9 +116,17 @@ impl BandanaStore {
                 config.mini_sampling_rate,
                 &config.candidate_thresholds,
                 |t| config.seed.wrapping_add(t as u64),
-            )
+            );
+            let sets = tuner::block_aware_sets(
+                &layouts,
+                &freqs,
+                training,
+                &capacities,
+                tuner::FIT_BATCH_REQUESTS,
+            );
+            (policies, sets.into_iter().map(|s| Some(s.set)).collect())
         } else {
-            vec![config.admission; spec.num_tables()]
+            (vec![config.admission; spec.num_tables()], vec![None; spec.num_tables()])
         };
 
         // 4. Device sizing and table construction.
@@ -136,6 +150,9 @@ impl BandanaStore {
                 base_block,
                 vector_bytes,
             );
+            if let Some(set) = sets[t].take() {
+                table.install_set(set);
+            }
             table.write_embeddings(&mut device, &embeddings[t])?;
             tables.push(table);
             base_block += blocks;
@@ -521,14 +538,18 @@ mod tests {
     }
 
     #[test]
-    fn tuned_policies_are_thresholds() {
+    fn tuned_tables_serve_a_set_in_front_of_a_threshold() {
         let (store, _, _) = build_store(PartitionerKind::Shp { iterations: 4 }, 256);
         for t in 0..store.num_tables() {
-            let policy = store.table(t).unwrap().policy();
+            let table = store.table(t).unwrap();
+            assert_eq!(table.policy(), AdmissionPolicy::Set, "table {t}");
+            let fallback = table.fallback_policy();
             assert!(
-                matches!(policy, AdmissionPolicy::Threshold { .. }),
-                "table {t} has untuned policy {policy:?}"
+                matches!(fallback, AdmissionPolicy::Threshold { .. }),
+                "table {t} has untuned fallback {fallback:?}"
             );
+            let set = table.admission_set().expect("a set serves");
+            assert!(set.len() <= table.cache_capacity());
         }
     }
 

@@ -4,7 +4,7 @@
 use crate::error::BandanaError;
 use crate::payload_cache::{Origin, PayloadCache};
 use crate::scratch::BatchScratch;
-use bandana_cache::{AdmissionPolicy, CacheMetrics, ShadowCache};
+use bandana_cache::{AdmissionPolicy, AdmissionSet, CacheMetrics, ShadowCache};
 use bandana_partition::{AccessFrequency, BlockLayout};
 use bandana_trace::EmbeddingTable;
 use bytes::Bytes;
@@ -30,6 +30,11 @@ pub struct TableStore {
     shadow_multiplier: f64,
     cache: PayloadCache,
     shadow: Option<ShadowCache>,
+    /// The members under [`AdmissionPolicy::Set`]; `None` under any other
+    /// policy.
+    set: Option<AdmissionSet>,
+    /// What a retired set falls back to ([`TableStore::fallback_policy`]).
+    fallback: AdmissionPolicy,
     metrics: CacheMetrics,
     /// First device block of this table's region.
     base_block: u64,
@@ -52,7 +57,9 @@ impl TableStore {
     /// # Panics
     ///
     /// Panics if the cache capacity is zero, the frequency table does not
-    /// match the layout, or `vector_bytes` is zero.
+    /// match the layout, `vector_bytes` is zero, or `policy` is
+    /// [`AdmissionPolicy::Set`] (a set is installed with
+    /// [`TableStore::install_set`]).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         table_id: usize,
@@ -66,6 +73,7 @@ impl TableStore {
     ) -> Self {
         assert!(cache_capacity > 0, "cache capacity must be non-zero");
         assert!(vector_bytes > 0, "vector size must be non-zero");
+        assert!(!policy.is_set(), "the set policy needs its set: use TableStore::install_set");
         assert_eq!(
             freq.num_vectors(),
             layout.num_vectors(),
@@ -82,6 +90,8 @@ impl TableStore {
             shadow_multiplier,
             cache: PayloadCache::new(cache_capacity, vector_bytes, &policy),
             shadow,
+            set: None,
+            fallback: policy,
             metrics: CacheMetrics::new(),
             base_block,
             vector_bytes,
@@ -174,6 +184,10 @@ impl TableStore {
     /// is created or dropped as needed; cache contents and their recency
     /// order are preserved.
     ///
+    /// A table on [`AdmissionPolicy::Set`] keeps its set only when `policy`
+    /// is `Set` again; any other policy retires it. `Set` on a table that
+    /// holds no set means [`TableStore::fallback_policy`].
+    ///
     /// The eviction queue is segmented only while the policy inserts below
     /// the top ([`AdmissionPolicy::inserts_below_top`]); a swap across that
     /// line re-splits it, in recency order, so the same keys stay in the
@@ -183,6 +197,14 @@ impl TableStore {
     /// which can differ from where a history on a segmented queue would
     /// have left it while the cache is not full.
     pub fn set_policy(&mut self, policy: AdmissionPolicy, shadow_multiplier: f64) {
+        let policy = match (policy.is_set(), &self.set) {
+            (true, Some(_)) => policy,
+            (true, None) => self.fallback,
+            (false, _) => {
+                self.set = None;
+                policy
+            }
+        };
         self.cache.reshape_for(&policy);
         self.policy = policy;
         self.shadow_multiplier = shadow_multiplier;
@@ -195,6 +217,53 @@ impl TableStore {
         }
     }
 
+    /// Puts the table on [`AdmissionPolicy::Set`] with `set` as its
+    /// members. A set is solved for one layout and one cache capacity
+    /// (`crate::tuner::block_aware_sets`), so a policy swap, a capacity
+    /// change or a re-layout that moves a vector retires it to
+    /// [`TableStore::fallback_policy`] — the policy in force before the
+    /// first install. Cache contents are kept.
+    ///
+    /// The set gates batched reads ([`TableStore::lookup_batch`] and its
+    /// `_with` and plan/fill forms, which is how the serving engine reads):
+    /// a demanded vector or a block-mate is cached iff it is a member, so
+    /// once the set is resident nothing is evicted. The set is fitted to
+    /// batches — every vector a batch wants from a block looked up
+    /// together — so a single-id read ([`TableStore::lookup`]) admits by
+    /// the fallback policy instead, and may evict a member. It does so on
+    /// the set's queue: one segment, no shadow cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` has more members than the cache has slots.
+    pub fn install_set(&mut self, set: AdmissionSet) {
+        assert!(set.len() <= self.cache.capacity(), "the set outgrows the cache");
+        if self.set.is_none() {
+            self.fallback = self.policy;
+        }
+        self.set = Some(set);
+        self.set_policy(AdmissionPolicy::Set, self.shadow_multiplier);
+    }
+
+    /// The members of the table's admission set while the policy is
+    /// [`AdmissionPolicy::Set`].
+    pub fn admission_set(&self) -> Option<&AdmissionSet> {
+        self.set.as_ref()
+    }
+
+    /// The policy a retired set falls back to: the policy the table was
+    /// built with, before [`TableStore::install_set`].
+    pub fn fallback_policy(&self) -> AdmissionPolicy {
+        self.fallback
+    }
+
+    /// Retires the admission set, if any, to the fallback policy.
+    fn retire_set(&mut self) {
+        if self.set.is_some() {
+            self.set_policy(self.fallback, self.shadow_multiplier);
+        }
+    }
+
     /// Resizes the DRAM cache online (the budget controller's lever).
     ///
     /// Growing admits immediately; shrinking evicts coldest-first without
@@ -203,9 +272,14 @@ impl TableStore {
     /// memory. The shadow cache, when present, is rebuilt at the new
     /// capacity — its admission history restarts, like a policy change.
     /// `entries` is clamped to at least 16, or to the capacity the table was
-    /// built with if that was smaller.
+    /// built with if that was smaller. A change of capacity retires an
+    /// admission set.
     pub fn set_cache_capacity(&mut self, entries: usize) {
+        let before = self.cache.capacity();
         self.metrics.evictions += self.cache.set_capacity(entries) as u64;
+        if self.cache.capacity() != before {
+            self.retire_set();
+        }
         if self.shadow.is_some() {
             self.shadow = Some(ShadowCache::new(self.cache.capacity(), self.shadow_multiplier));
         }
@@ -316,7 +390,8 @@ impl TableStore {
     /// remap. Cache counters do not move — a re-layout is not traffic.
     ///
     /// Returns the number of blocks rewritten (0 when `new_layout` places
-    /// every vector where it already was).
+    /// every vector where it already was). A rewrite retires an admission
+    /// set.
     ///
     /// # Errors
     ///
@@ -383,6 +458,7 @@ impl TableStore {
 
         self.layout = new_layout;
         self.layout_epoch += 1;
+        self.retire_set();
         Ok(changed.len() as u64)
     }
 
@@ -472,28 +548,40 @@ impl TableStore {
         }
     }
 
-    /// Copies a demanded vector's `payload` into the cache at MRU.
-    /// `refresh` as in [`PayloadCache::insert`].
-    fn admit_demand(&mut self, v: u32, payload: &[u8], refresh: bool) {
+    /// Copies a demanded vector's `payload` into the cache at MRU, unless
+    /// the read is gated by a set `v` is not in ([`admission`]). `refresh`
+    /// as in [`PayloadCache::insert`].
+    fn admit_demand(&mut self, v: u32, payload: &[u8], refresh: bool, batched: bool) {
         self.metrics.misses += 1;
-        if self.cache.insert(v, Origin::Demand, 0.0, payload, refresh) {
+        let (set, _) = admission(&self.set, self.policy, self.fallback, batched);
+        if set.is_none_or(|s| s.contains(v))
+            && self.cache.insert(v, Origin::Demand, 0.0, payload, refresh)
+        {
             self.metrics.evictions += 1;
         }
     }
 
     /// The prefetch sweep over a block just read: every vector of `block`
     /// that was not `demanded` (by block slot) and is not cached is offered
-    /// to the admission policy.
-    fn admit_neighbours(&mut self, block: u32, raw: &[u8], demanded: impl Fn(usize) -> bool) {
-        if !self.policy.prefetches() {
+    /// to the admission policy ([`admission`]).
+    fn admit_neighbours(
+        &mut self,
+        block: u32,
+        raw: &[u8],
+        demanded: impl Fn(usize) -> bool,
+        batched: bool,
+    ) {
+        let (set, policy) = admission(&self.set, self.policy, self.fallback, batched);
+        if !policy.prefetches() {
             return;
         }
         for (uslot, &u) in self.layout.vectors_in_block(block).iter().enumerate() {
-            if demanded(uslot) || self.cache.contains(u) {
+            // A non-member costs one bit test, before the cache probe.
+            if demanded(uslot) || set.is_some_and(|s| !s.contains(u)) || self.cache.contains(u) {
                 continue;
             }
             let shadow_hit = self.shadow.as_ref().is_some_and(|s| s.contains(u as u64));
-            if let Some(pos) = self.policy.admit(self.freq.count(u), shadow_hit) {
+            if let Some(pos) = policy.admit(self.freq.count(u), shadow_hit) {
                 self.metrics.prefetches_admitted += 1;
                 let upayload = self.vector_in(raw, uslot);
                 if self.cache.insert(u, Origin::Prefetch, pos, upayload, false) {
@@ -525,8 +613,8 @@ impl TableStore {
         let slot = self.layout.slot_of(v) as usize;
         let payload = self.vector_in(raw, slot);
         let owned = Bytes::copy_from_slice(payload);
-        self.admit_demand(v, payload, false);
-        self.admit_neighbours(block, raw, |uslot| uslot == slot);
+        self.admit_demand(v, payload, false, false);
+        self.admit_neighbours(block, raw, |uslot| uslot == slot, false);
         buf.recycle(pool);
         Ok(owned)
     }
@@ -686,17 +774,41 @@ impl TableStore {
                 scratch.payload_mut(pos).copy_from_slice(payload);
                 // A slot already marked is a duplicate id: its first miss
                 // in this group admitted it, so this one refreshes.
-                self.admit_demand(v, payload, scratch.is_requested(slot));
+                self.admit_demand(v, payload, scratch.is_requested(slot), true);
                 scratch.mark_requested(slot);
             }
             // The scratch bitset answers "was this slot demanded by the
             // batch?" in O(1), replacing a linear scan over the requested
             // ids.
-            self.admit_neighbours(block, raw, |uslot| scratch.is_requested(uslot));
+            self.admit_neighbours(block, raw, |uslot| scratch.is_requested(uslot), true);
             buf.recycle(pool);
             group = end;
         }
         Ok(())
+    }
+}
+
+/// The admission a block read applies: the set, if it gates the read, and
+/// the policy the rest of the read follows.
+///
+/// Under [`AdmissionPolicy::Set`] a batched read — the ids one table is
+/// asked for at once — is gated by the set: a demanded vector or a
+/// block-mate is cached iff it is a member. A single-id read admits by the
+/// fallback policy instead. The set is fitted to batches, where every
+/// vector a batch wants from a block is looked up together; ids looked up
+/// one at a time break that premise (each non-member re-reads its block,
+/// repeats included), so they keep the paper's per-lookup policy. The
+/// serving engine only reads in batches.
+fn admission(
+    set: &Option<AdmissionSet>,
+    policy: AdmissionPolicy,
+    fallback: AdmissionPolicy,
+    batched: bool,
+) -> (Option<&AdmissionSet>, AdmissionPolicy) {
+    match set {
+        Some(set) if batched => (Some(set), policy),
+        Some(_) => (None, fallback),
+        None => (None, policy),
     }
 }
 
@@ -798,6 +910,48 @@ mod tests {
         assert!(table.shadow.is_some());
         table.set_policy(AdmissionPolicy::Threshold { t: 5 }, 1.5);
         assert!(table.shadow.is_none());
+    }
+
+    #[test]
+    fn a_set_retires_to_the_fallback_on_any_live_change() {
+        let threshold = AdmissionPolicy::Threshold { t: 3 };
+        let on_set = || {
+            let (mut table, device, _) = setup_blocks(64, 8, threshold, 16);
+            table.install_set(AdmissionSet::from_ids(64, [1, 2, 9]));
+            assert_eq!(
+                (table.policy(), table.fallback_policy()),
+                (AdmissionPolicy::Set, threshold)
+            );
+            (table, device)
+        };
+
+        // `Set` again keeps the set; another policy retires it, and `Set`
+        // then means the fallback.
+        let (mut table, _) = on_set();
+        table.set_policy(AdmissionPolicy::Set, 2.0);
+        assert_eq!(table.admission_set().map(AdmissionSet::len), Some(3));
+        table.set_policy(AdmissionPolicy::None, 1.5);
+        assert!(table.admission_set().is_none());
+        table.set_policy(AdmissionPolicy::Set, 1.5);
+        assert_eq!(table.policy(), threshold);
+
+        // A capacity change retires it; the same capacity does not.
+        let (mut table, _) = on_set();
+        table.set_cache_capacity(16);
+        assert_eq!(table.policy(), AdmissionPolicy::Set);
+        table.set_cache_capacity(32);
+        assert_eq!(table.policy(), threshold);
+
+        // So does a re-layout that moves a vector, but not one that moves
+        // nothing.
+        let (mut table, mut device) = on_set();
+        table.apply_layout(&mut device, BlockLayout::identity(64, 8)).unwrap();
+        assert_eq!(table.policy(), AdmissionPolicy::Set);
+        let mut order: Vec<u32> = (0..64).collect();
+        order.swap(0, 63);
+        table.apply_layout(&mut device, BlockLayout::from_order(order, 8)).unwrap();
+        assert_eq!(table.policy(), threshold);
+        assert!(table.admission_set().is_none());
     }
 
     #[test]

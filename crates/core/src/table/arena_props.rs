@@ -6,7 +6,7 @@
 
 use super::tests::setup_blocks;
 use super::*;
-use bandana_cache::PrefetchCacheSim;
+use bandana_cache::{AdmissionSet, PrefetchCacheSim};
 use nvm_sim::{IoCounters, NvmDevice, NvmError};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -174,6 +174,33 @@ proptest! {
             sim.lookup(v);
             prop_assert_eq!(table.metrics(), sim.metrics());
         }
+        check(&table, &emb);
+    }
+
+    #[test]
+    fn the_set_policy_matches_the_cache_simulator_on_any_stream(
+        stream in proptest::collection::vec(0u32..VECTORS, 1..400),
+        members in proptest::collection::vec(0u32..VECTORS, 0..64),
+        cache in 16usize..64,
+    ) {
+        // Under the set policy the table's batched reads and the simulator
+        // gate demanded vectors and block-mates by the same bit: the same
+        // payloads, the same counters and the same queue, and no eviction
+        // ever, since the set fits the cache.
+        let set = AdmissionSet::from_ids(VECTORS, members.into_iter().take(cache));
+        let (mut table, mut device, emb) = store(AdmissionPolicy::None, cache);
+        table.install_set(set.clone());
+        let layout = BlockLayout::identity(VECTORS, PER_BLOCK);
+        let mut sim = PrefetchCacheSim::with_set(&layout, cache, set, AccessFrequency::zeros(VECTORS));
+        let (mut scratch, mut pool) = (BatchScratch::new(), BlockBufPool::default());
+        for &v in &stream {
+            table.lookup_batch_with(&mut device, &[v], &mut scratch, &mut pool).unwrap();
+            prop_assert_eq!(scratch.payload(0), emb.vector_as_bytes(v).as_slice());
+            sim.lookup(v);
+            prop_assert_eq!(table.metrics(), sim.metrics());
+            prop_assert_eq!(table.cache_snapshot(), sim.cache_snapshot());
+        }
+        prop_assert_eq!(table.metrics().evictions, 0);
         check(&table, &emb);
     }
 

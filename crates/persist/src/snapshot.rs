@@ -29,7 +29,7 @@
 //! | field | size | meaning |
 //! |-------|------|---------|
 //! | `table` | `u32` | table id |
-//! | policy tag | `u8` | 0 `None`, 1 `All`, 2 `Shadow`, 3 `ShadowPosition`, 4 `Threshold` |
+//! | policy tag | `u8` | 0 `None`, 1 `All`, 2 `Shadow`, 3 `ShadowPosition`, 4 `Threshold`, 5 `Set` |
 //! | policy arg | `f64` or `u32` | `position` for tags 1/3, `t` for tag 4, absent otherwise |
 //! | `shadow_multiplier` | `f64` | shadow-cache size multiplier |
 //! | `cache_capacity` | `u32` | **v2 only**: cache capacity in entries (the learned DRAM partition); decoded as `0` (= unknown) from v1 files |
@@ -130,6 +130,9 @@ fn encode_policy(out: &mut Vec<u8>, policy: AdmissionPolicy) -> Result<(), Persi
             out.push(4);
             out.extend_from_slice(&t.to_le_bytes());
         }
+        // The set's members are not written: the rebuilt store solves the
+        // same set from the same inputs.
+        AdmissionPolicy::Set => out.push(5),
         // `AdmissionPolicy` is non_exhaustive upstream; refuse to write a
         // snapshot we could not read back.
         other => {
@@ -146,6 +149,7 @@ fn decode_policy(r: &mut crate::codec::Reader<'_>) -> Option<AdmissionPolicy> {
         2 => AdmissionPolicy::Shadow,
         3 => AdmissionPolicy::ShadowPosition { position: r.f64()? },
         4 => AdmissionPolicy::Threshold { t: r.u32()? },
+        5 => AdmissionPolicy::Set,
         _ => return None,
     })
 }
@@ -428,6 +432,17 @@ mod tests {
         let data = sample();
         let bytes = encode(&data).unwrap();
         assert_eq!(decode(&bytes).unwrap(), data);
+    }
+
+    #[test]
+    fn the_set_policy_round_trips_as_a_bare_tag() {
+        let mut data = sample();
+        data.tables[1].policy = AdmissionPolicy::Set;
+        let bytes = encode(&data).unwrap();
+        assert_eq!(decode(&bytes).unwrap(), data);
+        let mut tag = Vec::new();
+        encode_policy(&mut tag, AdmissionPolicy::Set).unwrap();
+        assert_eq!(tag, [5], "tag 5 carries no payload");
     }
 
     #[test]

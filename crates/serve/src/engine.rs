@@ -576,6 +576,9 @@ struct Counters {
     relayout_rewritten_blocks: AtomicU64,
     /// Blocks per request over the freshest window any table completed.
     relayout_bpr: BlocksPerRequestGauge,
+    /// Samples each tap handed its controller's channel, and samples it
+    /// dropped on a full one: `[sent, dropped]`, indexed by [`Tap`].
+    taps: [[AtomicU64; 2]; 3],
 }
 
 impl Counters {
@@ -596,6 +599,54 @@ impl Counters {
             relayout_applied: AtomicU64::new(0),
             relayout_rewritten_blocks: AtomicU64::new(0),
             relayout_bpr: BlocksPerRequestGauge::default(),
+            taps: Default::default(),
+        }
+    }
+}
+
+/// A shard worker's lossy sampling taps, one per controller that reads the
+/// lookup stream. Each sends into a bounded channel with `try_send` and
+/// drops a sample the channel has no room for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tap {
+    /// `(table, vector)` samples for the online threshold tuner.
+    Tuner,
+    /// Tenant-tagged samples for the cache budget controller.
+    Budget,
+    /// Whole-part co-access samples for the re-layout controller.
+    CoAccess,
+}
+
+impl Tap {
+    /// Every tap, in [`EngineMetrics::taps`] order.
+    pub const ALL: [Tap; 3] = [Tap::Tuner, Tap::Budget, Tap::CoAccess];
+
+    /// The `tap` label of the exported `bandana_tap_*_total` series.
+    pub fn label(self) -> &'static str {
+        match self {
+            Tap::Tuner => "tuner",
+            Tap::Budget => "budget",
+            Tap::CoAccess => "coaccess",
+        }
+    }
+}
+
+/// What one sampling [`Tap`] offered its controller.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TapCounts {
+    /// Samples the channel accepted.
+    pub sent: u64,
+    /// Samples dropped because the channel was full (or its controller
+    /// gone). The share dropped grows with load: it is not a sampling rate.
+    pub dropped: u64,
+}
+
+impl TapCounts {
+    /// Offers `sample` to `tx` without blocking and counts the outcome.
+    fn offer<T>(&mut self, tx: &mpsc::SyncSender<T>, sample: T) {
+        match tx.try_send(sample) {
+            Ok(()) => self.sent += 1,
+            Err(_) => self.dropped += 1,
         }
     }
 }
@@ -1281,6 +1332,9 @@ pub struct EngineMetrics {
     pub relayout_applied: u64,
     /// Blocks rewritten on-device by applied re-layouts.
     pub relayout_rewritten_blocks: u64,
+    /// Samples sent and dropped by each shard-side sampling tap, indexed
+    /// by [`Tap`] (all zero for a tap whose controller is off).
+    pub taps: [TapCounts; 3],
     /// Observed blocks-per-request over the freshest re-layout window
     /// *any* table completed (`0.0` until a window completes); see
     /// [`table_blocks_per_request_observed`](Self::table_blocks_per_request_observed)
@@ -2151,6 +2205,10 @@ impl ShardedEngine {
             relayout_solves: c.relayout_solves.load(Ordering::Relaxed),
             relayout_applied: c.relayout_applied.load(Ordering::Relaxed),
             relayout_rewritten_blocks: c.relayout_rewritten_blocks.load(Ordering::Relaxed),
+            taps: c.taps.each_ref().map(|[sent, dropped]| TapCounts {
+                sent: sent.load(Ordering::Relaxed),
+                dropped: dropped.load(Ordering::Relaxed),
+            }),
             blocks_per_request_observed,
             blocks_per_request_ideal,
             table_blocks_per_request_observed,
@@ -3021,6 +3079,7 @@ fn process_batch(
     // the table's payloads copied out to the routed parts' jobs as soon as
     // it is filled.
     let mut local_lookups = 0u64;
+    let mut taps = [TapCounts::default(); 3];
     let mut reaped = 0;
     for (&t, m) in &mut merge.tables {
         if m.parts.is_empty() {
@@ -3043,7 +3102,7 @@ fn process_batch(
                         for &v in &part.unique_ids {
                             *sample_tick = sample_tick.wrapping_add(1);
                             if sample_tick.is_multiple_of((*every).max(1)) {
-                                let _ = tx.try_send((part.table, v));
+                                taps[Tap::Tuner as usize].offer(tx, (part.table, v));
                             }
                         }
                     }
@@ -3054,7 +3113,8 @@ fn process_batch(
                         for &v in &part.unique_ids {
                             *budget_tick = budget_tick.wrapping_add(1);
                             if budget_tick.is_multiple_of((*every).max(1)) {
-                                let _ = tx.try_send((part.table, v, job.tenant as u32));
+                                taps[Tap::Budget as usize]
+                                    .offer(tx, (part.table, v, job.tenant as u32));
                             }
                         }
                     }
@@ -3064,8 +3124,9 @@ fn process_batch(
                     // within one. The group token (per-shard sequence in
                     // the high bits, shard in the low byte) lets the bus
                     // stitch a part back together across drains; sends
-                    // stay lossy (`try_send`) and allocation-free — the
-                    // bounded channel's ring is preallocated.
+                    // stay lossy (`try_send`, drops counted) and
+                    // allocation-free — the bounded channel's ring is
+                    // preallocated.
                     if let Some((tx, every)) = co_samples {
                         if part.unique_ids.len() > 1 {
                             *co_tick = co_tick.wrapping_add(1);
@@ -3073,7 +3134,7 @@ fn process_batch(
                                 *co_seq += 1;
                                 let group = (*co_seq << 8) | shard as u64;
                                 for &v in &part.unique_ids {
-                                    let _ = tx.try_send((part.table, v, group));
+                                    taps[Tap::CoAccess as usize].offer(tx, (part.table, v, group));
                                 }
                             }
                         }
@@ -3089,6 +3150,13 @@ fn process_batch(
                 }
             }
             Err(e) => fail_parts(jobs, &m.parts, &e),
+        }
+    }
+
+    for (counts, [sent, dropped]) in taps.iter().zip(&shared.counters.taps) {
+        if counts.sent + counts.dropped > 0 {
+            sent.fetch_add(counts.sent, Ordering::Relaxed);
+            dropped.fetch_add(counts.dropped, Ordering::Relaxed);
         }
     }
 

@@ -297,7 +297,7 @@ pub use control::{
 };
 pub use engine::{
     BatchingMetrics, EngineMetrics, RecoveryMetrics, ServeConfig, ServeError, ShardMetrics,
-    ShardedEngine,
+    ShardedEngine, Tap, TapCounts,
 };
 pub use hist::{fmt_secs, LatencyBreakdown, LatencyHistogram, LatencySummary, WindowedHistogram};
 pub use loadgen::{

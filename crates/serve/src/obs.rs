@@ -31,7 +31,7 @@
 //! hand-rolling a table.
 
 use crate::control::{Action, EngineSnapshot};
-use crate::engine::EngineMetrics;
+use crate::engine::{EngineMetrics, Tap};
 use crate::hist::{fmt_secs, LatencySummary};
 use crate::tenant::{TenantId, TenantMetrics};
 use std::collections::VecDeque;
@@ -918,6 +918,26 @@ pub fn render_prometheus(metrics: &EngineMetrics, snapshot: &EngineSnapshot) -> 
     // Control plane and the live snapshot.
     head(&mut out, "bandana_tuner_swaps_total", "counter", "Admission-policy hot-swaps applied.");
     put(&mut out, "bandana_tuner_swaps_total", "", m.tuner_swaps as f64);
+    head(
+        &mut out,
+        "bandana_tap_sent_total",
+        "counter",
+        "Samples a shard-side tap handed its controller.",
+    );
+    for tap in Tap::ALL {
+        let label = format!("tap=\"{}\"", tap.label());
+        put(&mut out, "bandana_tap_sent_total", &label, m.taps[tap as usize].sent as f64);
+    }
+    head(
+        &mut out,
+        "bandana_tap_dropped_total",
+        "counter",
+        "Samples a shard-side tap dropped on a full controller channel.",
+    );
+    for tap in Tap::ALL {
+        let label = format!("tap=\"{}\"", tap.label());
+        put(&mut out, "bandana_tap_dropped_total", &label, m.taps[tap as usize].dropped as f64);
+    }
     head(&mut out, "bandana_control_ticks_total", "counter", "Metrics-bus ticks.");
     put(&mut out, "bandana_control_ticks_total", "", m.control_ticks as f64);
     head(&mut out, "bandana_control_actions_total", "counter", "Controller actions applied.");
@@ -1144,7 +1164,7 @@ pub fn render_audit_log(events: &[AuditEvent]) -> String {
 mod tests {
     use super::*;
     use crate::control::{ShardSnapshot, TableCachePartition, TenantSnapshot};
-    use crate::engine::{BatchingMetrics, RecoveryMetrics, ShardMetrics};
+    use crate::engine::{BatchingMetrics, RecoveryMetrics, ShardMetrics, TapCounts};
     use crate::hist::{LatencyBreakdown, LatencyHistogram};
     use crate::tenant::{PriorityClass, ShedBreakdown};
     use bandana_cache::{AdmissionPolicy, CacheMetrics};
@@ -1428,6 +1448,11 @@ mod tests {
             relayout_solves: 4,
             relayout_applied: 1,
             relayout_rewritten_blocks: 6,
+            taps: [
+                TapCounts { sent: 40, dropped: 2 },
+                TapCounts { sent: 30, dropped: 0 },
+                TapCounts { sent: 20, dropped: 7 },
+            ],
             blocks_per_request_observed: 3.5,
             blocks_per_request_ideal: 1.25,
             table_blocks_per_request_observed: vec![3.5, 2.75],
@@ -1606,6 +1631,12 @@ mod tests {
             "bandana_tenant_recent_latency_seconds{tenant=\"7\",quantile=\"0.99\"}",
             // control plane + audit + live snapshot.
             "bandana_tuner_swaps_total 3",
+            "bandana_tap_sent_total{tap=\"tuner\"} 40",
+            "bandana_tap_dropped_total{tap=\"tuner\"} 2",
+            "bandana_tap_sent_total{tap=\"budget\"} 30",
+            "bandana_tap_dropped_total{tap=\"budget\"} 0",
+            "bandana_tap_sent_total{tap=\"coaccess\"} 20",
+            "bandana_tap_dropped_total{tap=\"coaccess\"} 7",
             "bandana_control_ticks_total 88",
             "bandana_control_actions_total 9",
             "bandana_audit_events 1",

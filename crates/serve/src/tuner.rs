@@ -5,15 +5,22 @@
 //! The paper's miniature caches are cheap enough to run *online*
 //! (§4.3.3): shadow the live lookup stream through per-table simulators
 //! and periodically adopt the best-performing admission threshold. In the
-//! control plane this is `TunerController`: shard workers send a
-//! sampled stream of `(table, vector)` observations over a bounded
-//! channel (overflow is dropped — sampling is lossy by design, exactly
-//! like the paper's 0.1% sampling rate), and each bus tick the controller
+//! control plane this is `TunerController`: shard workers send every
+//! `sample_every`-th `(table, vector)` observation over a bounded
+//! channel, and each bus tick the controller
 //! drains the channel into one [`OnlineTuner`] per table, returning an
 //! [`Action::SetPolicy`] per epoch
 //! decision. The bus routes the action to the owning shard's command
 //! channel, where the worker applies it between micro-batches via
-//! [`TableStore::set_policy`](bandana_core::TableStore::set_policy).
+//! [`TableStore::set_policy`](bandana_core::TableStore::set_policy); the
+//! first one retires a table's build-time admission set.
+//!
+//! An observation that finds the channel full is dropped. That is not a
+//! sampling rate like the paper's 0.1 %, which is a fixed hash-chosen
+//! subset of vectors: drops hit whatever arrives while the controller is
+//! behind, so their share grows with load and biases the stream towards
+//! quiet periods. Each drop is counted
+//! (`bandana_tap_dropped_total{tap="tuner"}`, [`crate::Tap`]).
 //!
 //! Before the control plane existed this logic ran as a dedicated
 //! hard-wired thread; its observable behaviour — one hot-swap per

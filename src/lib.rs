@@ -11,7 +11,7 @@
 //!
 //! | module | crate | what lives there |
 //! |--------|-------|------------------|
-//! | [`core`] | `bandana-core` | the [`BandanaStore`](bandana_core::BandanaStore): embedding tables on simulated block NVM, DRAM-cached, locality-aware placement, miniature-cache-tuned prefetch admission |
+//! | [`core`] | `bandana-core` | the [`BandanaStore`](bandana_core::BandanaStore): embedding tables on simulated block NVM, DRAM-cached, locality-aware placement, miniature-cache-tuned prefetch admission with a block-aware admission set in front |
 //! | [`nvm`](nvm_sim) | `nvm-sim` | the calibrated NVM device simulator: block reads, queue-depth model, buffer pools, fault injection |
 //! | [`trace`] | `bandana-trace` | synthetic Facebook-like lookup workloads, arrival processes, hot-set drift |
 //! | [`partition`] | `bandana-partition` | SHP hypergraph partitioning and K-means placement |

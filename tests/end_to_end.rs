@@ -281,9 +281,10 @@ fn batched_serving_reduces_device_reads() {
 }
 
 /// Pins what `BandanaStore::build` decides for one fixed spec and seed,
-/// with DRAM divided by hit-rate curves and thresholds tuned by miniature
-/// caches: a change to the offline recipe that moves any table's capacity
-/// or threshold fails here.
+/// with DRAM divided by hit-rate curves, thresholds tuned by miniature
+/// caches and a block-aware set solved in front of each threshold: a change
+/// to the offline recipe that moves any table's capacity, threshold or set
+/// size fails here.
 #[test]
 fn build_decisions_are_pinned() {
     let spec = ModelSpec::paper_scaled(40_000);
@@ -300,7 +301,61 @@ fn build_decisions_are_pinned() {
     let tables = || (0..store.num_tables()).map(|t| store.table(t).unwrap());
     let capacities: Vec<usize> = tables().map(|t| t.cache_capacity()).collect();
     let policies: Vec<AdmissionPolicy> = tables().map(|t| t.policy()).collect();
+    let fallbacks: Vec<AdmissionPolicy> = tables().map(|t| t.fallback_policy()).collect();
+    let set_sizes: Vec<usize> =
+        tables().map(|t| t.admission_set().map_or(0, |s| s.len())).collect();
     assert_eq!(capacities, [48, 152, 4, 4, 16, 36, 40, 1]);
+    assert_eq!(policies, [AdmissionPolicy::Set; 8]);
     let t = |t| AdmissionPolicy::Threshold { t };
-    assert_eq!(policies, [t(8), t(8), t(8), t(8), t(8), t(4), t(8), t(8)]);
+    assert_eq!(fallbacks, [t(8), t(8), t(8), t(8), t(8), t(4), t(8), t(8)]);
+    assert_eq!(set_sizes, [48, 149, 4, 4, 16, 36, 39, 1]);
+}
+
+/// Serves `trace` the way the engine reads: requests merged
+/// `FIT_BATCH_REQUESTS` to a batch, each table's ids deduplicated and read
+/// in one batched lookup.
+fn serve_in_batches(store: &mut BandanaStore, trace: &Trace) {
+    for chunk in trace.requests.chunks(bandana::core::FIT_BATCH_REQUESTS) {
+        for t in 0..store.num_tables() {
+            let mut ids: Vec<u32> =
+                chunk.iter().filter_map(|r| r.query_for(t)).flat_map(|q| q.ids.clone()).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            store.lookup_batch(t, &ids).unwrap();
+        }
+    }
+}
+
+#[test]
+fn a_resident_set_reads_exactly_what_the_solve_predicts() {
+    // The store's reads are pinned like its payloads: once a pass over the
+    // training trace has made every table's set resident, replaying that
+    // trace in the engine's batch shape reads exactly the blocks the solve
+    // predicted, table by table, and evicts nothing.
+    let (spec, _generator, train, _eval, embeddings) = fixture(12);
+    let config = BandanaConfig::default().with_cache_vectors(800).with_seed(12);
+    let mut store = BandanaStore::build(&spec, &embeddings, &train, config).unwrap();
+    let tables = || (0..spec.num_tables()).map(|t| store.table(t).unwrap());
+    let layouts: Vec<BlockLayout> = tables().map(|t| t.layout().clone()).collect();
+    let freqs: Vec<AccessFrequency> = tables().map(|t| t.freq().clone()).collect();
+    let capacities: Vec<usize> = tables().map(|t| t.cache_capacity()).collect();
+    let solved = bandana::core::block_aware_sets(
+        &layouts,
+        &freqs,
+        &train,
+        &capacities,
+        bandana::core::FIT_BATCH_REQUESTS,
+    );
+    for (t, s) in solved.iter().enumerate() {
+        assert_eq!(store.table(t).unwrap().admission_set(), Some(&s.set), "table {t}");
+    }
+
+    serve_in_batches(&mut store, &train);
+    store.reset_metrics();
+    serve_in_batches(&mut store, &train);
+    let measured: Vec<u64> = store.table_metrics().iter().map(|m| m.block_reads).collect();
+    let predicted: Vec<u64> = solved.iter().map(|s| s.predicted_reads).collect();
+    assert_eq!(measured, predicted);
+    assert!(predicted.iter().sum::<u64>() < solved.iter().map(|s| s.touches).sum::<u64>());
+    assert_eq!(store.total_metrics().evictions, 0);
 }

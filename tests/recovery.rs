@@ -407,3 +407,63 @@ fn double_recovery_is_idempotent() {
     assert_eq!(bytes_written(&second), bytes_pre, "endurance is stable across re-replays");
     serve_all(&second, &f.eval);
 }
+
+/// The policy each table runs, read from a fresh snapshot of `engine`.
+fn snapshotted_policies(engine: &ShardedEngine, dir: &std::path::Path) -> Vec<AdmissionPolicy> {
+    engine.snapshot_now().expect("snapshot installs");
+    let (_, data) = bandana::persist::load_latest(dir).unwrap().expect("a snapshot exists");
+    data.tables.iter().map(|t| t.policy).collect()
+}
+
+/// A block-aware admission set survives a warm restart: the snapshot
+/// records the set policy as a bare tag, and the rebuilt store solves the
+/// same set from the same inputs. A journaled re-layout recovered onto a
+/// table retires that table's set to its tuned threshold, since a set is
+/// solved for one layout.
+#[test]
+fn a_snapshot_on_the_set_resumes_it_and_a_journaled_layout_retires_it() {
+    let dir = temp_dir("set");
+    let _cleanup = Cleanup(dir.clone());
+    let _ = std::fs::remove_dir_all(&dir);
+    let f = fixture(13);
+    let faults = FaultPlan::none();
+    let built = build_store(&f);
+    let fallback = built.table(0).unwrap().fallback_policy();
+    assert!(matches!(fallback, AdmissionPolicy::Threshold { .. }));
+    let order = built.table(0).unwrap().layout().order().to_vec();
+
+    let engine = ShardedEngine::new(built, serve_config(&dir, &faults)).expect("engine builds");
+    serve_all(&engine, &f.eval);
+    assert_eq!(snapshotted_policies(&engine, &dir), [AdmissionPolicy::Set; 2]);
+    drop(engine);
+
+    let recovered = ShardedEngine::recover(build_store(&f), serve_config(&dir, &faults))
+        .expect("recovery succeeds");
+    assert!(recovered.metrics().recovery.rehydrated_keys > 0);
+    assert_eq!(snapshotted_policies(&recovered, &dir), [AdmissionPolicy::Set; 2]);
+    drop(recovered);
+
+    // Journal a re-layout of table 0 (two vectors in different blocks
+    // swapped) into the newest snapshot, as the re-layout controller's
+    // apply would have.
+    let (seq, mut data) = bandana::persist::load_latest(&dir).unwrap().expect("a snapshot exists");
+    let mut moved = order;
+    let last = moved.len() - 1;
+    moved.swap(0, last);
+    data.tables[0].layout_order = moved.clone();
+    bandana::persist::write_snapshot(&dir, seq + 1, &data, &faults).expect("snapshot writes");
+
+    let relaid = ShardedEngine::recover(build_store(&f), serve_config(&dir, &faults))
+        .expect("recovery succeeds");
+    assert_eq!(snapshotted_policies(&relaid, &dir), [fallback, AdmissionPolicy::Set]);
+    let (_, data) = bandana::persist::load_latest(&dir).unwrap().expect("a snapshot exists");
+    assert_eq!(data.tables[0].layout_order, moved, "the journaled layout is in force");
+    for request in f.eval.requests.iter().take(20) {
+        let responses = relaid.serve(request).expect("serves after the re-layout");
+        for (query, parts) in request.queries.iter().zip(&responses) {
+            for (&id, part) in query.ids.iter().zip(parts) {
+                assert_eq!(part.as_ref(), f.embeddings[query.table].vector_as_bytes(id).as_slice());
+            }
+        }
+    }
+}
