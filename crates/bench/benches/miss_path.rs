@@ -16,8 +16,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use nvm_sim::{BlockBufPool, QueueDepthTracker, QueueModel};
 
 /// The `nvm_bound` store: `paper_scaled(4000)` (8 tables, 27 500 vectors of
-/// 128 B), SHP on 1 500 training requests, 1 000 cached vectors divided by
-/// hit-rate curves, the default admission.
+/// 128 B), SHP on 1 500 training requests, 1 000 cached vectors, the
+/// default division and admission.
 const PAPER_SCALE: u32 = 4_000;
 const TRAINING_REQUESTS: usize = 1_500;
 const CACHE_VECTORS: usize = 1_000;

@@ -1,10 +1,13 @@
-//! Alternative DRAM-division policies — an ablation of §4.3.3's choice.
+//! DRAM allocation across embedding tables (paper §4.3.3), and the
+//! alternatives to it — an ablation of §4.3.3's choice.
 //!
-//! The paper divides the total DRAM budget across embedding tables with
-//! greedy marginal-gain allocation over hit-rate curves (Dynacache), and
-//! notes this is optimal because production curves are convex. This module
-//! makes that design decision measurable by providing the alternatives a
-//! deployment might reach for instead:
+//! Given each table's hit-rate curve and its share of total lookups, divide
+//! a fixed DRAM budget to maximize the overall (lookup-weighted) hit rate.
+//! Production curves are convex-in-the-caching-sense (diminishing returns),
+//! so greedy marginal-gain allocation ([`allocate_dram`]) — the Dynacache
+//! approach the paper cites — is optimal; the paper assigns these budgets
+//! statically. This module also makes that design decision measurable by
+//! providing the alternatives a deployment might reach for instead:
 //!
 //! * [`AllocationPolicy::Uniform`] — every table gets `total / n`;
 //! * [`AllocationPolicy::ProportionalToLookups`] — budget follows each
@@ -36,8 +39,83 @@
 //! assert!(alloc[0] > alloc[1]);
 //! ```
 
-use crate::alloc::{allocate_dram, allocation_hit_rate};
 use crate::hrc::HitRateCurve;
+
+/// Divides `total` cache entries across tables by greedy marginal gain.
+///
+/// * `curves[i]` — table i's hit-rate curve (hit rate vs entries);
+/// * `weights[i]` — table i's share of total lookups (Table 1's "% of
+///   total"); the objective is `Σ weights[i] · hit_rate_i(size_i)`;
+/// * `granularity` — allocation step in entries.
+///
+/// Returns per-table entry budgets summing to at most `total` (within one
+/// granule).
+///
+/// # Example
+///
+/// ```
+/// use bandana_cache::{allocate_dram, HitRateCurve};
+///
+/// let hot = HitRateCurve::new(vec![(0, 0.0), (100, 0.9)]);
+/// let cold = HitRateCurve::new(vec![(0, 0.0), (100, 0.1)]);
+/// let alloc = allocate_dram(100, &[hot, cold], &[0.5, 0.5], 10);
+/// assert!(alloc[0] > alloc[1]); // the hot table earns more DRAM
+/// ```
+///
+/// # Panics
+///
+/// Panics if the slices disagree in length, are empty, or `granularity` is
+/// zero.
+pub fn allocate_dram(
+    total: usize,
+    curves: &[HitRateCurve],
+    weights: &[f64],
+    granularity: usize,
+) -> Vec<usize> {
+    assert!(!curves.is_empty(), "need at least one table");
+    assert_eq!(curves.len(), weights.len(), "curves/weights length mismatch");
+    assert!(granularity > 0, "granularity must be non-zero");
+
+    let mut alloc = vec![0usize; curves.len()];
+    let mut remaining = total;
+    while remaining >= granularity {
+        // Pick the table with the highest weighted marginal gain; ties go to
+        // the lowest index for determinism.
+        let mut best: Option<(f64, usize)> = None;
+        for (i, curve) in curves.iter().enumerate() {
+            let gain = weights[i] * curve.marginal_gain(alloc[i], granularity);
+            if best.is_none_or(|(bg, _)| gain > bg + 1e-15) {
+                best = Some((gain, i));
+            }
+        }
+        let (gain, i) = best.expect("non-empty tables");
+        if gain <= 0.0 {
+            // No table benefits from more DRAM (all curves saturated):
+            // spread the remainder round-robin so the budget is not wasted.
+            let tables = curves.len();
+            let mut i = 0usize;
+            while remaining >= granularity {
+                alloc[i % tables] += granularity;
+                remaining -= granularity;
+                i += 1;
+            }
+            break;
+        }
+        alloc[i] += granularity;
+        remaining -= granularity;
+    }
+    alloc
+}
+
+/// The weighted overall hit rate achieved by an allocation.
+pub fn allocation_hit_rate(alloc: &[usize], curves: &[HitRateCurve], weights: &[f64]) -> f64 {
+    alloc
+        .iter()
+        .zip(curves)
+        .zip(weights)
+        .map(|((&size, curve), &w)| w * curve.hit_rate_at(size))
+        .sum()
+}
 
 /// How the total DRAM budget is divided across tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -199,6 +277,72 @@ mod tests {
 
     fn linear(max: usize, top: f64) -> HitRateCurve {
         HitRateCurve::new(vec![(0, 0.0), (max, top)])
+    }
+
+    #[test]
+    fn budget_is_respected() {
+        let curves = vec![linear(100, 0.9), linear(100, 0.5), linear(100, 0.3)];
+        let weights = vec![0.4, 0.4, 0.2];
+        let alloc = allocate_dram(150, &curves, &weights, 10);
+        let sum: usize = alloc.iter().sum();
+        assert!(sum <= 150);
+        assert!(sum >= 140, "budget underused: {alloc:?}");
+    }
+
+    #[test]
+    fn hot_tables_get_more() {
+        let curves = vec![linear(1000, 0.9), linear(1000, 0.9)];
+        // Equal curves but table 0 serves 3x the lookups.
+        let alloc = allocate_dram(1000, &curves, &[0.75, 0.25], 50);
+        assert!(alloc[0] > alloc[1], "{alloc:?}");
+    }
+
+    #[test]
+    fn greedy_is_optimal_on_concave_curves() {
+        // Two concave curves; compare greedy to brute force over all splits.
+        let a = HitRateCurve::new(vec![(0, 0.0), (10, 0.5), (20, 0.7), (40, 0.8)]);
+        let b = HitRateCurve::new(vec![(0, 0.0), (10, 0.3), (20, 0.55), (40, 0.75)]);
+        assert!(a.has_diminishing_returns() && b.has_diminishing_returns());
+        let curves = vec![a, b];
+        let weights = vec![0.5, 0.5];
+        let total = 40usize;
+        let g = 5usize;
+        let greedy = allocate_dram(total, &curves, &weights, g);
+        let greedy_score = allocation_hit_rate(&greedy, &curves, &weights);
+        let mut best = 0.0f64;
+        let mut s = 0;
+        while s <= total {
+            let score = allocation_hit_rate(&[s, total - s], &curves, &weights);
+            if score > best {
+                best = score;
+            }
+            s += g;
+        }
+        assert!(
+            greedy_score + 1e-9 >= best,
+            "greedy {greedy_score} below brute-force optimum {best} ({greedy:?})"
+        );
+    }
+
+    #[test]
+    fn saturated_curves_spread_remainder() {
+        let curves = vec![linear(10, 0.5), linear(10, 0.5)];
+        let alloc = allocate_dram(100, &curves, &[0.5, 0.5], 10);
+        let sum: usize = alloc.iter().sum();
+        assert_eq!(sum, 100, "remainder must still be distributed: {alloc:?}");
+    }
+
+    #[test]
+    fn single_table_gets_everything() {
+        let curves = vec![linear(50, 0.9)];
+        let alloc = allocate_dram(80, &curves, &[1.0], 8);
+        assert_eq!(alloc.iter().sum::<usize>(), 80);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn mismatched_inputs_rejected() {
+        let _ = allocate_dram(10, &[linear(10, 0.5)], &[0.5, 0.5], 1);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!    a threshold `t` (Figure 12) — the policy that wins,
 //! 5. choosing `t` per table and cache size by simulating dozens of
 //!    [`mini::MiniatureCacheSet`]s on a sampled stream (Table 2, Figure 14),
-//! 6. dividing total DRAM across tables with [`alloc`] using hit-rate
+//! 6. dividing total DRAM across tables with [`allocator`] using hit-rate
 //!    curves ([`hrc`]).
 //!
 //! The [`sim::PrefetchCacheSim`] ties 1–4 together for one table; the `core`
@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod alloc;
 pub mod allocator;
 pub mod curve;
 pub mod hrc;
@@ -51,8 +50,9 @@ pub mod shadow;
 pub mod sim;
 
 pub use admission::{AdmissionPolicy, AdmissionSet};
-pub use alloc::{allocate_dram, allocation_hit_rate};
-pub use allocator::{allocate_with, compare_policies, AllocationPolicy};
+pub use allocator::{
+    allocate_dram, allocate_with, allocation_hit_rate, compare_policies, AllocationPolicy,
+};
 pub use curve::CurveSampler;
 pub use hrc::HitRateCurve;
 pub use idhash::{IdHashMap, IdHasher};

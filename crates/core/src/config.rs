@@ -67,14 +67,18 @@ pub struct BandanaConfig {
     /// Shadow cache multiplier (only used by shadow policies).
     pub shadow_multiplier: f64,
     /// Enable per-table threshold tuning with miniature caches (§4.3.3).
-    /// The store then serves a block-aware admission set in front of each
-    /// tuned threshold ([`crate::tuner::block_aware_sets`]).
+    /// The store then divides DRAM and picks a block-aware admission set
+    /// per table in one solve ([`crate::tuner::shared_split`]) and serves
+    /// each set in front of its tuned threshold.
     pub tune_thresholds: bool,
     /// Candidate thresholds for the tuner (Figure 12 sweeps 5–20).
     pub candidate_thresholds: Vec<u32>,
     /// Miniature-cache sampling rate (paper: 0.001 suffices).
     pub mini_sampling_rate: f64,
     /// Divide DRAM across tables by hit-rate curves instead of lookup share.
+    /// Governs only a store built with an explicit policy
+    /// ([`BandanaConfig::with_admission`]); with `tune_thresholds` on, the
+    /// shared solve divides DRAM ([`crate::tuner::shared_split`]).
     pub allocate_by_hit_rate_curves: bool,
     /// Master RNG seed.
     pub seed: u64,

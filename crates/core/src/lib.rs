@@ -16,12 +16,15 @@
 //!
 //! The [`BandanaStore`] is the deployable artifact: it owns a simulated NVM
 //! device ([`nvm_sim`]), stores real embedding bytes, and serves lookups.
-//! [`BandanaStore::build`] runs the paper's offline recipe on a training
-//! trace: place every table, take per-table hit-rate curves
-//! ([`hit_rate_curves`]), divide DRAM by them ([`divide_dram`]), and pick
-//! each table's admission threshold with miniature caches
-//! ([`tune_admission`]). The [`tuner`] module holds those steps as plain
-//! functions, which the paper-reproduction figures call directly;
+//! [`BandanaStore::build`] runs the offline recipe on a training trace:
+//! place every table, divide DRAM and pick each table's cached vectors by
+//! the block reads they avoid ([`shared_split`]), and tune each table's
+//! fallback admission threshold with miniature caches
+//! ([`tune_admission`]). The paper's own division — per-table hit-rate
+//! curves ([`hit_rate_curves`]) divided by greedy marginal gain
+//! ([`divide_dram`]) — serves stores built with an explicit policy. The
+//! [`tuner`] module holds these steps as plain functions, which the
+//! paper-reproduction figures call directly;
 //! [`effective_bandwidth_sweep`] scores a recipe's result against the
 //! single-vector baseline.
 //!
@@ -83,6 +86,7 @@ pub use scratch::BatchScratch;
 pub use store::{BandanaStore, StoreParts};
 pub use table::TableStore;
 pub use tuner::{
-    block_aware_set, block_aware_sets, curve_sizes, divide_dram, hit_rate_curves, lookup_weights,
-    tune_admission, tune_tables, BlockAwareSet, TunerConfig, FIT_BATCH_REQUESTS,
+    block_aware_set, cap_at_sizes, curve_sizes, divide_dram, hit_rate_curves, lookup_weights,
+    shared_split, tune_admission, tune_tables, BlockAwareSet, SharedSplit, TunerConfig,
+    FIT_BATCH_REQUESTS,
 };

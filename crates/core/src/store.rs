@@ -4,7 +4,7 @@ use crate::config::{BandanaConfig, PartitionerKind};
 use crate::error::BandanaError;
 use crate::table::TableStore;
 use crate::tuner;
-use bandana_cache::{AdmissionPolicy, CacheMetrics};
+use bandana_cache::CacheMetrics;
 use bandana_partition::{
     kmeans, order_from_assignments, social_hash_partition, two_stage_kmeans, AccessFrequency,
     BlockLayout, KMeansConfig, ShpConfig, TwoStageConfig,
@@ -56,12 +56,15 @@ impl BandanaStore {
     /// NVM device.
     ///
     /// `training` drives the supervised parts: SHP placement, access
-    /// frequencies, hit-rate curves, and admission tuning. With
-    /// `tune_thresholds` on, each table gets the threshold its miniature
-    /// caches pick and then the block-aware admission set solved at its
-    /// capacity ([`tuner::block_aware_sets`]); the set serves until a live
-    /// change retires it to that threshold
-    /// ([`TableStore::install_set`]).
+    /// frequencies, the DRAM division and admission. With `tune_thresholds`
+    /// on, one solve over every table's blocks picks the vectors that avoid
+    /// the most block reads and sizes each table's cache around its share
+    /// ([`tuner::shared_split`]); each table serves that block-aware
+    /// admission set until a live change retires it to the threshold its
+    /// miniature caches pick at that size ([`TableStore::install_set`]).
+    /// With an explicit policy, DRAM is divided by hit-rate curves or
+    /// lookup share ([`BandanaConfig::allocate_by_hit_rate_curves`]),
+    /// capped at each table's vector count.
     ///
     /// # Errors
     ///
@@ -102,34 +105,37 @@ impl BandanaStore {
             config.seed,
         );
 
-        // 2. DRAM division across tables.
-        let capacities = divide_cache(training, &config);
-
-        // 3. Per-table admission: a tuned threshold, and the block-aware
-        // set that serves in front of it.
-        let (policies, mut sets): (Vec<AdmissionPolicy>, Vec<_>) = if config.tune_thresholds {
+        // 2. DRAM division and per-table admission: with tuning on, one
+        // solve sizes every table's cache around its block-aware set and a
+        // tuned threshold is the set's fallback.
+        let sizes: Vec<usize> = spec.tables.iter().map(|t| t.num_vectors as usize).collect();
+        let (capacities, policies, mut sets) = if config.tune_thresholds {
+            let split = tuner::shared_split(
+                &layouts,
+                &freqs,
+                training,
+                config.cache_vectors_total,
+                tuner::FIT_BATCH_REQUESTS,
+            );
             let policies = tuner::tune_tables(
                 &layouts,
                 &freqs,
                 training,
-                &capacities,
+                &split.capacities,
                 config.mini_sampling_rate,
                 &config.candidate_thresholds,
                 |t| config.seed.wrapping_add(t as u64),
             );
-            let sets = tuner::block_aware_sets(
-                &layouts,
-                &freqs,
-                training,
-                &capacities,
-                tuner::FIT_BATCH_REQUESTS,
-            );
-            (policies, sets.into_iter().map(|s| Some(s.set)).collect())
+            let predicted: Vec<f64> =
+                (0..spec.num_tables()).map(|t| split.predicted_reads_per_request(t)).collect();
+            let sets = split.sets.into_iter().zip(predicted).map(|(s, p)| Some((s.set, p)));
+            (split.capacities, policies, sets.collect())
         } else {
-            (vec![config.admission; spec.num_tables()], vec![None; spec.num_tables()])
+            let capacities = divide_cache(training, &config, &sizes);
+            (capacities, vec![config.admission; spec.num_tables()], vec![None; spec.num_tables()])
         };
 
-        // 4. Device sizing and table construction.
+        // 3. Device sizing and table construction.
         let total_blocks: u64 = layouts.iter().map(|l| l.num_blocks() as u64).sum();
         let mut device = NvmDevice::new(
             NvmConfig::optane_375gb()
@@ -150,8 +156,8 @@ impl BandanaStore {
                 base_block,
                 vector_bytes,
             );
-            if let Some(set) = sets[t].take() {
-                table.install_set(set);
+            if let Some((set, predicted)) = sets[t].take() {
+                table.install_set(set, predicted);
             }
             table.write_embeddings(&mut device, &embeddings[t])?;
             tables.push(table);
@@ -441,22 +447,27 @@ fn build_layout(
     }
 }
 
-/// Divides the DRAM budget across tables: by hit-rate curves (Dynacache
-/// style, §4.3.3) or proportionally to lookup share.
-fn divide_cache(training: &Trace, config: &BandanaConfig) -> Vec<usize> {
+/// Divides the DRAM budget across the tables of a store built with an
+/// explicit policy: by hit-rate curves (Dynacache style, §4.3.3) or
+/// proportionally to lookup share, never above a table's vector count in
+/// `sizes` ([`tuner::cap_at_sizes`]).
+fn divide_cache(training: &Trace, config: &BandanaConfig, sizes: &[usize]) -> Vec<usize> {
     let total = config.cache_vectors_total;
     let weights = tuner::lookup_weights(training);
-    if config.allocate_by_hit_rate_curves {
+    let mut capacities = if config.allocate_by_hit_rate_curves {
         let curves = tuner::hit_rate_curves(training, &tuner::curve_sizes(total));
         tuner::divide_dram(total, &curves, &weights)
     } else {
         weights.iter().map(|w| ((total as f64 * w) as usize).max(1)).collect()
-    }
+    };
+    tuner::cap_at_sizes(&mut capacities, sizes, &weights);
+    capacities
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bandana_cache::AdmissionPolicy;
     use bandana_trace::TraceGenerator;
 
     fn build_store(
@@ -550,7 +561,11 @@ mod tests {
             );
             let set = table.admission_set().expect("a set serves");
             assert!(set.len() <= table.cache_capacity());
+            assert!(table.predicted_reads_per_request().is_some_and(|r| r >= 0.0));
         }
+        let total: usize =
+            (0..store.num_tables()).map(|t| store.table(t).unwrap().cache_capacity()).sum();
+        assert!(total <= 256, "the tables share the budget: {total}");
     }
 
     #[test]
@@ -593,7 +608,7 @@ mod tests {
         let spec = ModelSpec::test_small();
         let training = TraceGenerator::new(&spec, 3).generate_requests(150);
         let config = BandanaConfig::default().with_cache_vectors(300);
-        let caps = divide_cache(&training, &config);
+        let caps = divide_cache(&training, &config, &[2048, 4096]);
         assert_eq!(caps.len(), 2);
         let sum: usize = caps.iter().sum();
         assert!(sum <= 300 + caps.len(), "allocated {sum} of 300");
@@ -606,9 +621,61 @@ mod tests {
         let training = TraceGenerator::new(&spec, 3).generate_requests(150);
         let mut config = BandanaConfig::default().with_cache_vectors(300);
         config.allocate_by_hit_rate_curves = false;
-        let caps = divide_cache(&training, &config);
+        let caps = divide_cache(&training, &config, &[2048, 4096]);
         let sum: usize = caps.iter().sum();
         assert!(sum <= 301, "allocated {sum}");
+    }
+
+    #[test]
+    fn the_curve_division_gives_no_table_more_slots_than_vectors() {
+        let spec = ModelSpec::test_small();
+        let training = TraceGenerator::new(&spec, 3).generate_requests(150);
+        let mut config = BandanaConfig::default().with_cache_vectors(3_000);
+        // Table 0's share is well above its 100 vectors; the surplus goes
+        // to table 1.
+        let caps = divide_cache(&training, &config, &[100, 4096]);
+        assert_eq!(caps[0], 100);
+        assert!(caps[1] >= 2_800, "{caps:?}");
+        assert!(caps.iter().sum::<usize>() <= 3_000);
+        // A budget above every vector leaves each table at its size.
+        config.cache_vectors_total = 10_000;
+        assert_eq!(divide_cache(&training, &config, &[2048, 4096]), [2048, 4096]);
+    }
+
+    #[test]
+    fn a_budget_of_twice_the_vectors_reads_nothing_once_warm() {
+        let spec = ModelSpec::test_small();
+        let vectors = 2048 + 4096;
+        let (mut store, eval, _) = build_store(PartitionerKind::Identity, 2 * vectors);
+        for t in 0..store.num_tables() {
+            let table = store.table(t).unwrap();
+            assert_eq!(table.cache_capacity(), spec.tables[t].num_vectors as usize);
+            assert_eq!(table.admission_set().map(|s| s.len()), Some(table.cache_capacity()));
+            assert_eq!(table.predicted_reads_per_request(), Some(0.0));
+        }
+        for r in &eval.requests {
+            store.serve_request_batched(r).unwrap();
+        }
+        store.reset_metrics();
+        for r in &eval.requests {
+            store.serve_request_batched(r).unwrap();
+        }
+        assert_eq!(store.device_counters().reads, 0);
+        assert_eq!(store.total_metrics().lookups as usize, eval.total_lookups());
+    }
+
+    #[test]
+    fn a_budget_below_the_table_count_gives_each_table_one_slot() {
+        let (mut store, eval, _) = build_store(PartitionerKind::Identity, 1);
+        for t in 0..store.num_tables() {
+            let table = store.table(t).unwrap();
+            assert_eq!(table.cache_capacity(), 1, "table {t}");
+            assert!(table.admission_set().is_some_and(|s| s.len() <= 1), "table {t}");
+        }
+        for r in &eval.requests {
+            store.serve_request_batched(r).unwrap();
+        }
+        assert_eq!(store.total_metrics().lookups as usize, eval.total_lookups());
     }
 
     #[test]

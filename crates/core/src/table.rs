@@ -33,6 +33,9 @@ pub struct TableStore {
     /// The members under [`AdmissionPolicy::Set`]; `None` under any other
     /// policy.
     set: Option<AdmissionSet>,
+    /// Block reads per request the set's solve predicted; `None` without
+    /// a set.
+    predicted_reads_per_request: Option<f64>,
     /// What a retired set falls back to ([`TableStore::fallback_policy`]).
     fallback: AdmissionPolicy,
     metrics: CacheMetrics,
@@ -91,6 +94,7 @@ impl TableStore {
             cache: PayloadCache::new(cache_capacity, vector_bytes, &policy),
             shadow,
             set: None,
+            predicted_reads_per_request: None,
             fallback: policy,
             metrics: CacheMetrics::new(),
             base_block,
@@ -202,6 +206,7 @@ impl TableStore {
             (true, None) => self.fallback,
             (false, _) => {
                 self.set = None;
+                self.predicted_reads_per_request = None;
                 policy
             }
         };
@@ -218,8 +223,10 @@ impl TableStore {
     }
 
     /// Puts the table on [`AdmissionPolicy::Set`] with `set` as its
-    /// members. A set is solved for one layout and one cache capacity
-    /// (`crate::tuner::block_aware_sets`), so a policy swap, a capacity
+    /// members, and the block reads per request its solve predicted
+    /// ([`TableStore::predicted_reads_per_request`]). A set is solved for
+    /// one layout and one cache capacity
+    /// ([`crate::tuner::shared_split`]), so a policy swap, a capacity
     /// change or a re-layout that moves a vector retires it to
     /// [`TableStore::fallback_policy`] — the policy in force before the
     /// first install. Cache contents are kept.
@@ -236,12 +243,13 @@ impl TableStore {
     /// # Panics
     ///
     /// Panics if `set` has more members than the cache has slots.
-    pub fn install_set(&mut self, set: AdmissionSet) {
+    pub fn install_set(&mut self, set: AdmissionSet, predicted_reads_per_request: f64) {
         assert!(set.len() <= self.cache.capacity(), "the set outgrows the cache");
         if self.set.is_none() {
             self.fallback = self.policy;
         }
         self.set = Some(set);
+        self.predicted_reads_per_request = Some(predicted_reads_per_request);
         self.set_policy(AdmissionPolicy::Set, self.shadow_multiplier);
     }
 
@@ -249,6 +257,12 @@ impl TableStore {
     /// [`AdmissionPolicy::Set`].
     pub fn admission_set(&self) -> Option<&AdmissionSet> {
         self.set.as_ref()
+    }
+
+    /// Block reads per request the serving set's solve predicted on the
+    /// trace it was fitted to; `None` once the set retires.
+    pub fn predicted_reads_per_request(&self) -> Option<f64> {
+        self.predicted_reads_per_request
     }
 
     /// The policy a retired set falls back to: the policy the table was
@@ -917,7 +931,7 @@ mod tests {
         let threshold = AdmissionPolicy::Threshold { t: 3 };
         let on_set = || {
             let (mut table, device, _) = setup_blocks(64, 8, threshold, 16);
-            table.install_set(AdmissionSet::from_ids(64, [1, 2, 9]));
+            table.install_set(AdmissionSet::from_ids(64, [1, 2, 9]), 0.25);
             assert_eq!(
                 (table.policy(), table.fallback_policy()),
                 (AdmissionPolicy::Set, threshold)
@@ -930,8 +944,10 @@ mod tests {
         let (mut table, _) = on_set();
         table.set_policy(AdmissionPolicy::Set, 2.0);
         assert_eq!(table.admission_set().map(AdmissionSet::len), Some(3));
+        assert_eq!(table.predicted_reads_per_request(), Some(0.25));
         table.set_policy(AdmissionPolicy::None, 1.5);
         assert!(table.admission_set().is_none());
+        assert_eq!(table.predicted_reads_per_request(), None);
         table.set_policy(AdmissionPolicy::Set, 1.5);
         assert_eq!(table.policy(), threshold);
 
@@ -952,6 +968,7 @@ mod tests {
         table.apply_layout(&mut device, BlockLayout::from_order(order, 8)).unwrap();
         assert_eq!(table.policy(), threshold);
         assert!(table.admission_set().is_none());
+        assert_eq!(table.predicted_reads_per_request(), None);
     }
 
     #[test]

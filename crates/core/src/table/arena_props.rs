@@ -189,7 +189,7 @@ proptest! {
         // ever, since the set fits the cache.
         let set = AdmissionSet::from_ids(VECTORS, members.into_iter().take(cache));
         let (mut table, mut device, emb) = store(AdmissionPolicy::None, cache);
-        table.install_set(set.clone());
+        table.install_set(set.clone(), 0.0);
         let layout = BlockLayout::identity(VECTORS, PER_BLOCK);
         let mut sim = PrefetchCacheSim::with_set(&layout, cache, set, AccessFrequency::zeros(VECTORS));
         let (mut scratch, mut pool) = (BatchScratch::new(), BlockBufPool::default());

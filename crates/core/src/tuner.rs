@@ -13,15 +13,20 @@
 //!    Table 2 of the paper shows 0.1% sampling already picks near-oracle
 //!    thresholds.
 //!
-//! [`crate::BandanaStore::build`] and every limited-cache figure of the
-//! reproduction run these functions; every knob is an explicit argument.
+//! Every limited-cache figure of the reproduction runs these functions;
+//! every knob is an explicit argument.
 //!
-//! The store then goes one step past the paper's threshold: at each
-//! table's capacity it solves for the set of vectors that avoids the most
-//! block reads on the training trace ([`block_aware_sets`]) and serves
-//! that set ([`AdmissionPolicy::Set`]). A threshold ranks single vectors,
-//! but a cached vector saves a read only when every vector the batch wants
-//! from its block is cached too. The figures keep the paper's threshold.
+//! [`crate::BandanaStore::build`] goes one step past the paper's threshold
+//! and its division: it solves for the vectors that avoid the most block
+//! reads on the training trace, over every table's blocks at the whole
+//! budget ([`shared_split`]), serves that set per table
+//! ([`AdmissionPolicy::Set`]), sizes each table's cache from the same
+//! solve, and tunes step 3's threshold at that size as the set's fallback.
+//! A threshold ranks single vectors, but a cached vector saves a read only
+//! when every vector the batch wants from its block is cached too; a
+//! hit-rate curve cannot see that either. Only a store built with an
+//! explicit policy divides by step 2 (or by lookup share), capped at each
+//! table's vector count ([`cap_at_sizes`]).
 
 use bandana_cache::{
     allocate_dram, AdmissionPolicy, AdmissionSet, HitRateCurve, MiniatureCacheSet,
@@ -188,7 +193,7 @@ pub struct BlockAwareSet {
 /// `k` iff every vector the batch wants from the block ranks below `k`;
 /// `f_b(k)` counts those touches. A multiple-choice knapsack then picks
 /// one `k_b` per block, `Σ k_b ≤ capacity`, maximising `Σ f_b(k_b)`,
-/// greedily over each block's upper convex hull (see `choose_prefixes`). A
+/// greedily over each block's upper convex hull (see `take_segments`). A
 /// capacity that covers the table takes every vector without looking at
 /// `batches`.
 ///
@@ -221,56 +226,199 @@ pub fn block_aware_set<'q>(
         };
     }
     let curves = avoidance_curves(layout, freq, batches);
+    let ks = take_segments(&hull_segments(&curves), curves.len(), capacity);
+    prefix_set(layout, freq, &curves, &ks)
+}
+
+/// The set that caches each block's top `ks[b]` vectors, and its
+/// prediction on the batches `curves` counted.
+fn prefix_set(
+    layout: &BlockLayout,
+    freq: &AccessFrequency,
+    curves: &[Vec<u64>],
+    ks: &[usize],
+) -> BlockAwareSet {
     let touches: u64 = curves.iter().map(|c| c.last().copied().unwrap_or(0)).sum();
-    let ks = choose_prefixes(&curves, capacity);
-    let avoided: u64 = curves.iter().zip(&ks).map(|(f, &k)| f[k]).sum();
-    let rank = |b: u32| ranked_block(layout, freq, b);
+    let avoided: u64 = curves.iter().zip(ks).map(|(f, &k)| f[k]).sum();
     let set = AdmissionSet::from_ids(
-        n,
-        ks.iter().enumerate().flat_map(|(b, &k)| rank(b as u32).into_iter().take(k)),
+        layout.num_vectors(),
+        ks.iter()
+            .enumerate()
+            .flat_map(|(b, &k)| ranked_block(layout, freq, b as u32).into_iter().take(k)),
     );
     BlockAwareSet { set, touches, predicted_reads: touches - avoided }
 }
 
-/// Solves every table's block-aware set ([`block_aware_set`]) at its
-/// capacity, over `train` merged `batch_requests` requests per batch
-/// ([`FIT_BATCH_REQUESTS`] is the engine's shape).
+/// The store's DRAM division and admission sets, from one solve
+/// ([`shared_split`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SharedSplit {
+    /// Each table's cache capacity in vectors: its set plus its share of
+    /// the slots no set took.
+    pub capacities: Vec<usize>,
+    /// Each table's block-aware set and what it predicts.
+    pub sets: Vec<BlockAwareSet>,
+    /// Requests in the fitted trace.
+    pub fitted_requests: usize,
+}
+
+impl SharedSplit {
+    /// Table `t`'s predicted block reads per fitted request.
+    pub fn predicted_reads_per_request(&self, t: usize) -> f64 {
+        self.sets[t].predicted_reads as f64 / self.fitted_requests.max(1) as f64
+    }
+}
+
+/// Divides `total` cache vectors across tables and picks each table's
+/// block-aware set in one solve: the hull greedy of [`block_aware_set`]
+/// runs over every table's blocks at once, so a slot goes to whichever
+/// table's block avoids the most reads per slot on `train`, merged
+/// `batch_requests` requests per batch ([`FIT_BATCH_REQUESTS`] is the
+/// engine's shape).
+///
+/// Each table's capacity is its set's size plus a share, by lookup weight
+/// ([`lookup_weights`]), of the slots the sets leave over, never above the
+/// table's vector count. Every table gets at least one slot and the
+/// capacities sum to at most `total`, or to the table count when `total`
+/// is smaller (then every table gets one slot).
+/// A `total` that covers every vector gives each table its size and all
+/// its vectors without a pass over `train`.
 ///
 /// # Panics
 ///
-/// Panics if `batch_requests` is zero.
-pub fn block_aware_sets(
+/// Panics if `batch_requests` is zero or the slices disagree in length.
+pub fn shared_split(
     layouts: &[BlockLayout],
     freqs: &[AccessFrequency],
     train: &Trace,
-    capacities: &[usize],
+    total: usize,
     batch_requests: usize,
-) -> Vec<BlockAwareSet> {
-    (0..layouts.len())
+) -> SharedSplit {
+    assert!(batch_requests > 0, "a fitted batch holds at least one request");
+    assert_eq!(layouts.len(), freqs.len(), "layouts/freqs length mismatch");
+    let sizes: Vec<usize> = layouts.iter().map(|l| l.num_vectors() as usize).collect();
+    let fitted_requests = train.requests.len();
+    if total >= sizes.iter().sum::<usize>() {
+        let sets = sizes
+            .iter()
+            .map(|&n| BlockAwareSet {
+                set: AdmissionSet::from_ids(n as u32, 0..n as u32),
+                touches: 0,
+                predicted_reads: 0,
+            })
+            .collect();
+        return SharedSplit { capacities: sizes, sets, fitted_requests };
+    }
+    let per_table: Vec<Vec<Vec<u64>>> = (0..layouts.len())
         .map(|t| {
-            let batches: Vec<Vec<u32>> = if capacities[t] >= layouts[t].num_vectors() as usize {
-                Vec::new()
-            } else {
-                train
-                    .requests
-                    .chunks(batch_requests)
-                    .map(|chunk| {
-                        chunk
-                            .iter()
-                            .filter_map(|r| r.query_for(t))
-                            .flat_map(|q| q.ids.iter().copied())
-                            .collect()
-                    })
-                    .collect()
-            };
-            block_aware_set(
-                &layouts[t],
-                &freqs[t],
-                batches.iter().map(|b| b.as_slice()),
-                capacities[t],
-            )
+            let batches: Vec<Vec<u32>> = train
+                .requests
+                .chunks(batch_requests)
+                .map(|chunk| {
+                    chunk
+                        .iter()
+                        .filter_map(|r| r.query_for(t))
+                        .flat_map(|q| q.ids.iter().copied())
+                        .collect()
+                })
+                .collect();
+            avoidance_curves(&layouts[t], &freqs[t], batches.iter().map(|b| b.as_slice()))
         })
-        .collect()
+        .collect();
+    let curves: Vec<&[u64]> = per_table.iter().flatten().map(Vec::as_slice).collect();
+    let segments = hull_segments(&curves);
+    // Every table needs a slot: while the greedy leaves more tables empty
+    // than it leaves slots over, hold that many slots back from it. The
+    // reserve grows on every retry and stops at the table count, which
+    // `budget` covers, so the loop ends.
+    let budget = total.max(layouts.len());
+    let mut reserve = 0;
+    let (ks, mut capacities) = loop {
+        let ks = take_segments(&segments, curves.len(), budget - reserve);
+        let mut next = ks.iter();
+        let taken: Vec<usize> =
+            per_table.iter().map(|blocks| next.by_ref().take(blocks.len()).sum()).collect();
+        let empty = taken.iter().filter(|&&k| k == 0).count();
+        if budget - taken.iter().sum::<usize>() >= empty {
+            break (ks, taken);
+        }
+        reserve = empty;
+    };
+    for c in capacities.iter_mut().filter(|c| **c == 0) {
+        *c = 1;
+    }
+    let left = budget - capacities.iter().sum::<usize>();
+    spread(&mut capacities, left, &sizes, &lookup_weights(train));
+    let mut ks = ks.into_iter();
+    let sets = per_table
+        .iter()
+        .enumerate()
+        .map(|(t, curves)| {
+            let ks: Vec<usize> = ks.by_ref().take(curves.len()).collect();
+            prefix_set(&layouts[t], &freqs[t], curves, &ks)
+        })
+        .collect();
+    SharedSplit { capacities, sets, fitted_requests }
+}
+
+/// Caps every table's slots at its vector count in `sizes` and hands the
+/// surplus to the tables still below theirs, by `weights` (evenly when
+/// none of them weighs anything). A surplus no table can hold is dropped.
+///
+/// # Example
+///
+/// ```
+/// use bandana_core::tuner::cap_at_sizes;
+///
+/// let mut slots = vec![60, 30, 10];
+/// cap_at_sizes(&mut slots, &[20, 100, 15], &[0.6, 0.3, 0.1]);
+/// assert_eq!(slots, [20, 65, 15]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if the slices disagree in length.
+pub fn cap_at_sizes(slots: &mut [usize], sizes: &[usize], weights: &[f64]) {
+    assert_eq!(slots.len(), sizes.len(), "slots/sizes length mismatch");
+    assert_eq!(slots.len(), weights.len(), "slots/weights length mismatch");
+    let mut surplus = 0;
+    for (s, &n) in slots.iter_mut().zip(sizes) {
+        surplus += s.saturating_sub(n);
+        *s = (*s).min(n);
+    }
+    spread(slots, surplus, sizes, weights);
+}
+
+/// Hands up to `extra` slots to the tables below their size, in
+/// proportion to `weights` (evenly when none of them weighs anything),
+/// none above its size.
+fn spread(slots: &mut [usize], mut extra: usize, sizes: &[usize], weights: &[f64]) {
+    while extra > 0 {
+        let short: Vec<usize> = (0..slots.len()).filter(|&t| slots[t] < sizes[t]).collect();
+        if short.is_empty() {
+            return;
+        }
+        let weighed = short.iter().any(|&t| weights[t] > 0.0);
+        let weight = |t: usize| if weighed { weights[t].max(0.0) } else { 1.0 };
+        let sum: f64 = short.iter().map(|&t| weight(t)).sum();
+        let mut given = 0;
+        for &t in &short {
+            let share = (extra as f64 * weight(t) / sum) as usize;
+            let take = share.min(sizes[t] - slots[t]).min(extra - given);
+            slots[t] += take;
+            given += take;
+        }
+        if given == 0 {
+            // Fewer slots than shares: one each, heaviest first.
+            let mut order: Vec<usize> = short.into_iter().filter(|&t| weight(t) > 0.0).collect();
+            order.sort_by(|&a, &b| weight(b).total_cmp(&weight(a)).then(a.cmp(&b)));
+            for &t in order.iter().take(extra) {
+                slots[t] += 1;
+                given += 1;
+            }
+        }
+        extra -= given;
+    }
 }
 
 /// Block `b`'s vectors, most trained first (ties by slot).
@@ -326,19 +474,15 @@ fn avoidance_curves<'q>(
     curves
 }
 
-/// One prefix length per block, `Σ k ≤ capacity`, maximising
-/// `Σ curves[b][k_b]` by a greedy over every block's upper convex hull:
-/// hull segments in order of falling touches avoided per slot, each taken
-/// while it fits and its block has taken every segment before it. That is
-/// the knapsack's linear relaxation up to the segments that no longer fit,
-/// in O(P log P) for P curve steps. On the benchmark's `nvm_bound` inputs
-/// its sets read 126.70 and 126.87 blocks per request (seeds 7 and 311)
-/// where the exact dynamic programme's read 126.66 and 126.79.
-fn choose_prefixes(curves: &[Vec<u64>], capacity: usize) -> Vec<usize> {
-    // (block, slots, touches) per hull segment, in block order. Only a
-    // prefix that avoids more than every shorter one can be a hull point.
+/// Every block's upper-convex-hull segments as `(block, slots, touches
+/// avoided)`, steepest first: the order in which [`take_segments`] spends
+/// slots.
+fn hull_segments<C: AsRef<[u64]>>(curves: &[C]) -> Vec<(usize, usize, u64)> {
+    // Only a prefix that avoids more than every shorter one can be a hull
+    // point.
     let mut segments: Vec<(usize, usize, u64)> = Vec::new();
     for (b, f) in curves.iter().enumerate() {
+        let f = f.as_ref();
         let mut hull: Vec<usize> = vec![0];
         for k in (1..f.len()).filter(|&k| f[k] > f[k - 1]) {
             // Pop the last hull point while it lies on or below the chord
@@ -360,10 +504,22 @@ fn choose_prefixes(curves: &[Vec<u64>], capacity: usize) -> Vec<usize> {
     segments.sort_by(|a, b| {
         (u128::from(b.2) * a.1 as u128).cmp(&(u128::from(a.2) * b.1 as u128)).then(a.0.cmp(&b.0))
     });
-    let mut ks = vec![0usize; curves.len()];
-    let mut closed = vec![false; curves.len()];
+    segments
+}
+
+/// One prefix length per block, `Σ k ≤ capacity`, maximising
+/// `Σ curves[b][k_b]` by a greedy over the blocks' hull `segments`
+/// ([`hull_segments`]): each segment is taken while it fits and its block
+/// has taken every segment before it. That is the knapsack's linear
+/// relaxation up to the segments that no longer fit, in O(P log P) for P
+/// curve steps. On the benchmark's `nvm_bound` inputs, solved per table,
+/// its sets read 126.70 and 126.87 blocks per request (seeds 7 and 311)
+/// where the exact dynamic programme's read 126.66 and 126.79.
+fn take_segments(segments: &[(usize, usize, u64)], blocks: usize, capacity: usize) -> Vec<usize> {
+    let mut ks = vec![0usize; blocks];
+    let mut closed = vec![false; blocks];
     let mut left = capacity;
-    for (b, slots, _) in segments {
+    for &(b, slots, _) in segments {
         if closed[b] {
             continue;
         }
@@ -380,7 +536,7 @@ fn choose_prefixes(curves: &[Vec<u64>], capacity: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bandana_trace::{ModelSpec, TraceGenerator};
+    use bandana_trace::{ModelSpec, Request, TableQuery, TraceGenerator};
 
     /// A workload where the hot half of each block is worth prefetching and
     /// the cold half is pollution; training frequencies separate them.
@@ -499,10 +655,72 @@ mod tests {
         }
     }
 
+    /// One request per batch, each wanting `ids` from table `t`.
+    fn trace_of(tables: usize, batches: &[(usize, Vec<u32>)]) -> Trace {
+        let requests = batches
+            .iter()
+            .map(|(t, ids)| Request { queries: vec![TableQuery::new(*t, ids.clone())] })
+            .collect();
+        Trace::new(tables, requests)
+    }
+
+    fn identity_inputs(train: &Trace, sizes: &[u32]) -> (Vec<BlockLayout>, Vec<AccessFrequency>) {
+        let layouts = sizes.iter().map(|&n| BlockLayout::identity(n, 4)).collect();
+        let freqs = (0..sizes.len())
+            .map(|t| AccessFrequency::from_queries(sizes[t], train.table_queries(t)))
+            .collect();
+        (layouts, freqs)
+    }
+
     #[test]
-    fn every_table_is_solved_at_its_own_capacity() {
+    fn the_shared_split_gives_slots_to_the_pairs_that_avoid_most_reads() {
+        // Table 0's pair {0, 1} is wanted 12 times: 6 reads avoided per
+        // slot. Table 1 has more lookups, but its best pair avoids 1.5 per
+        // slot and its other pairs 1.
+        let mut batches: Vec<(usize, Vec<u32>)> = (0..12).map(|_| (0, vec![0, 1])).collect();
+        batches.extend((0..3).map(|_| (1, vec![0, 1])));
+        for v in (4..16).step_by(2) {
+            batches.extend((0..2).map(|_| (1, vec![v, v + 1])));
+        }
+        let train = trace_of(2, &batches);
+        let weights = lookup_weights(&train);
+        assert!(weights[1] > weights[0], "{weights:?}");
+        let (layouts, freqs) = identity_inputs(&train, &[16, 16]);
+        let split = shared_split(&layouts, &freqs, &train, 3, 1);
+        assert_eq!(split.capacities, [2, 1], "a lookup-share split gives [1, 1]");
+        assert_eq!(split.sets[0].set.iter().collect::<Vec<_>>(), [0, 1]);
+        assert!(split.sets[1].set.is_empty());
+        assert_eq!((split.sets[0].touches, split.sets[0].predicted_reads), (12, 0));
+        assert_eq!(split.fitted_requests, 27);
+        assert_eq!(split.predicted_reads_per_request(1), 15.0 / 27.0);
+        // Two more slots buy table 1's best pair.
+        let split = shared_split(&layouts, &freqs, &train, 5, 1);
+        assert_eq!(split.capacities, [2, 3]);
+        assert_eq!(split.sets[1].set.iter().collect::<Vec<_>>(), [0, 1]);
+    }
+
+    #[test]
+    fn a_budget_that_covers_every_vector_gives_each_table_all_of_it() {
+        // No trace at all: the solve needs none.
+        let train = Trace::new(2, Vec::new());
+        let (layouts, freqs) = identity_inputs(&train, &[16, 8]);
+        for total in [24, 100] {
+            let split = shared_split(&layouts, &freqs, &train, total, FIT_BATCH_REQUESTS);
+            assert_eq!(split.capacities, [16, 8]);
+            assert_eq!(split.sets[0].set.len(), 16);
+            assert_eq!(split.sets[1].set.len(), 8);
+            assert!(split.sets.iter().all(|s| s.predicted_reads == 0));
+        }
+    }
+
+    #[test]
+    fn shared_capacities_fit_the_budget_and_hold_their_sets() {
         let spec = ModelSpec::paper_scaled(20_000);
-        let train = TraceGenerator::new(&spec, 3).generate_requests(60);
+        let mut train = TraceGenerator::new(&spec, 3).generate_requests(60);
+        // Table 2 is never looked up.
+        for r in &mut train.requests {
+            r.queries.retain(|q| q.table != 2);
+        }
         let layouts: Vec<BlockLayout> =
             spec.tables.iter().map(|t| BlockLayout::identity(t.num_vectors, 32)).collect();
         let freqs: Vec<AccessFrequency> = (0..spec.num_tables())
@@ -510,13 +728,37 @@ mod tests {
                 AccessFrequency::from_queries(spec.tables[t].num_vectors, train.table_queries(t))
             })
             .collect();
-        let capacities: Vec<usize> = (0..spec.num_tables()).map(|t| 8 * (t + 1)).collect();
-        let sets = block_aware_sets(&layouts, &freqs, &train, &capacities, FIT_BATCH_REQUESTS);
-        assert_eq!(sets.len(), spec.num_tables());
-        for (solved, &capacity) in sets.iter().zip(&capacities) {
-            assert!(solved.set.len() <= capacity);
-            assert!(solved.predicted_reads < solved.touches, "some read is avoided");
+        for total in [1, 7, 8, 9, 50, 300, 1_000] {
+            let split = shared_split(&layouts, &freqs, &train, total, FIT_BATCH_REQUESTS);
+            // A budget below the table count still gives every table a slot.
+            let bound = total.max(spec.num_tables());
+            assert!(split.capacities.iter().sum::<usize>() <= bound, "total {total}");
+            for (t, (solved, &capacity)) in split.sets.iter().zip(&split.capacities).enumerate() {
+                assert!(capacity >= 1, "table {t} at total {total}");
+                assert!(capacity <= layouts[t].num_vectors() as usize);
+                assert!(solved.set.len() <= capacity, "table {t} at total {total}");
+            }
+            assert!(split.sets[2].set.is_empty());
         }
+        let split = shared_split(&layouts, &freqs, &train, 300, FIT_BATCH_REQUESTS);
+        let (touches, reads) =
+            split.sets.iter().fold((0, 0), |(t, r), s| (t + s.touches, r + s.predicted_reads));
+        assert!(reads < touches, "some read is avoided");
+    }
+
+    #[test]
+    fn capping_hands_the_surplus_to_short_tables_by_weight() {
+        let mut slots = vec![10, 1, 1];
+        cap_at_sizes(&mut slots, &[4, 100, 100], &[0.2, 0.6, 0.2]);
+        assert_eq!(slots, [4, 6, 2]);
+        // Nobody can hold it: the surplus is dropped.
+        let mut slots = vec![10, 10];
+        cap_at_sizes(&mut slots, &[3, 5], &[0.5, 0.5]);
+        assert_eq!(slots, [3, 5]);
+        // Short tables that weigh nothing share it evenly.
+        let mut slots = vec![10, 0, 0];
+        cap_at_sizes(&mut slots, &[2, 100, 100], &[1.0, 0.0, 0.0]);
+        assert_eq!(slots, [2, 4, 4]);
     }
 
     #[test]

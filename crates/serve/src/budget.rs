@@ -10,7 +10,8 @@
 //! [`HitRateCurve`] each window, and
 //! [`allocate_dram`] re-divides the fixed
 //! total budget — weighted by the [`PriorityClass`](crate::PriorityClass)
-//! of the tenants driving each table — into per-table targets. Targets
+//! of the tenants driving each table — into per-table targets, none above
+//! the table's vector count ([`cap_at_sizes`]). Targets
 //! that differ from the running capacity by more than a hysteresis
 //! fraction become [`Action::SetCachePartition`]s, applied on the owning
 //! shard's worker thread between micro-batches; every applied move lands
@@ -18,6 +19,7 @@
 
 use crate::control::{Action, Controller, EngineSnapshot, TableCachePartition};
 use bandana_cache::{allocate_dram, CurveSampler, HitRateCurve};
+use bandana_core::tuner::cap_at_sizes;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
 
@@ -113,6 +115,8 @@ impl CacheBudgetSettings {
 pub(crate) struct BudgetInputs {
     /// `(table id, build-time cache capacity in entries)`, table order.
     pub tables: Vec<(usize, usize)>,
+    /// Each table's vector count, in `tables` order.
+    pub sizes: Vec<usize>,
     pub settings: CacheBudgetSettings,
     pub samples: mpsc::Receiver<BudgetSample>,
 }
@@ -133,6 +137,8 @@ pub(crate) struct CacheBudgetController<'a> {
     samplers: Vec<CurveSampler>,
     /// Capacity last applied (starts at the build-time partition).
     current: Vec<usize>,
+    /// Each table's vector count: no target goes above it.
+    sizes: Vec<usize>,
     /// Class-weighted sampled access mass this window.
     weights: Vec<f64>,
     /// The freshest curve per table: a table idle this window is solved
@@ -179,6 +185,7 @@ impl<'a> CacheBudgetController<'a> {
             weights: vec![0.0; tables.len()],
             samplers,
             current,
+            sizes: inputs.sizes,
             tables,
             total,
             window_samples: 0,
@@ -217,7 +224,9 @@ impl<'a> CacheBudgetController<'a> {
         if self.weights.iter().all(|&w| w <= 0.0) {
             return Vec::new();
         }
-        let targets = allocate_dram(self.total, &curves, &self.weights, self.settings.granularity);
+        let mut targets =
+            allocate_dram(self.total, &curves, &self.weights, self.settings.granularity);
+        cap_at_sizes(&mut targets, &self.sizes, &self.weights);
         {
             let mut partition = self.partition.lock().expect("cache partition lock");
             for (i, &table) in self.tables.iter().enumerate() {
@@ -311,15 +320,24 @@ mod tests {
         }
     }
 
-    fn harness(
-        tables: Vec<(usize, usize)>,
-        settings: CacheBudgetSettings,
-    ) -> (
+    type Harness = (
         mpsc::SyncSender<BudgetSample>,
         &'static AtomicU64,
         &'static Mutex<Vec<TableCachePartition>>,
         CacheBudgetController<'static>,
-    ) {
+    );
+
+    /// A controller over tables too large for any target to reach.
+    fn harness(tables: Vec<(usize, usize)>, settings: CacheBudgetSettings) -> Harness {
+        let sizes = vec![usize::MAX; tables.len()];
+        sized_harness(tables, sizes, settings)
+    }
+
+    fn sized_harness(
+        tables: Vec<(usize, usize)>,
+        sizes: Vec<usize>,
+        settings: CacheBudgetSettings,
+    ) -> Harness {
         let (tx, rx) = sync_channel(1 << 16);
         let solves: &'static AtomicU64 = Box::leak(Box::new(AtomicU64::new(0)));
         let partition: &'static Mutex<Vec<TableCachePartition>> = Box::leak(Box::new(Mutex::new(
@@ -332,7 +350,7 @@ mod tests {
                 })
                 .collect(),
         )));
-        let inputs = BudgetInputs { tables, settings, samples: rx };
+        let inputs = BudgetInputs { tables, sizes, settings, samples: rx };
         let ctl = CacheBudgetController::new(inputs, solves, partition);
         (tx, solves, partition, ctl)
     }
@@ -382,6 +400,37 @@ mod tests {
         let p = partition.lock().unwrap();
         assert_eq!(p.iter().map(|t| t.target_entries).sum::<usize>(), 256);
         assert!(p[0].target_entries > p[1].target_entries);
+    }
+
+    #[test]
+    fn no_target_outgrows_its_table() {
+        let settings = CacheBudgetSettings {
+            window_lookups: 256,
+            granularity: 16,
+            ..CacheBudgetSettings::default()
+        };
+        // 512 entries for 40 + 300 vectors, and both tables see only 4
+        // keys: every curve saturates, and the round-robin remainder alone
+        // would hand each table 256.
+        let (tx, solves, partition, mut ctl) =
+            sized_harness(vec![(0, 256), (1, 256)], vec![40, 300], settings);
+        let snap = snapshot(vec![tenant(0, PriorityClass::Normal)]);
+        for v in 0..200u32 {
+            tx.send((0, v % 4, 0)).unwrap();
+            tx.send((1, v % 4, 0)).unwrap();
+        }
+        let actions = ctl.observe(&snap);
+        assert_eq!(solves.load(Ordering::Relaxed), 1);
+        let p = partition.lock().unwrap();
+        assert_eq!(p.iter().map(|t| t.target_entries).collect::<Vec<_>>(), [40, 300]);
+        let moved: Vec<(usize, usize)> = actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::SetCachePartition { table, entries, .. } => Some((*table, *entries)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(moved, [(0, 40), (1, 300)]);
     }
 
     #[test]

@@ -785,6 +785,9 @@ pub(crate) struct Shared {
     /// Payload bytes each table's DRAM cache holds, indexed by table id;
     /// the owning shard worker stores it after every batch and resize.
     cache_resident_bytes: Vec<AtomicU64>,
+    /// Block reads per request each table's build-time admission set was
+    /// predicted to cost, indexed by table id.
+    table_reads_per_request_predicted: Vec<Option<f64>>,
     /// Blocks per request over each table's freshest re-layout window,
     /// indexed by table id; empty when the controller is off.
     relayout_table_bpr: Vec<BlocksPerRequestGauge>,
@@ -1357,6 +1360,12 @@ pub struct EngineMetrics {
     /// `(capacity_entries + 1) × vector size` of the capacity the table's
     /// worker runs.
     pub cache_resident_bytes: Vec<u64>,
+    /// Block reads per request the build-time solve predicted for each
+    /// table's admission set on its training trace, indexed by table id
+    /// ([`TableStore::predicted_reads_per_request`] at engine start; `None`
+    /// for a table built without a set). Fixed for the engine's life: a
+    /// set a live controller retires keeps its prediction here.
+    pub table_reads_per_request_predicted: Vec<Option<f64>>,
     /// End-to-end latency of completed requests.
     pub latency: LatencySummary,
     /// Submission → start-of-service wait.
@@ -1792,6 +1801,11 @@ impl ShardedEngine {
         let mut budget_tables: Vec<(usize, usize)> =
             parts.tables.iter().map(|t| (t.table_id(), t.cache_capacity())).collect();
         budget_tables.sort_unstable();
+        // `parts.tables` is in table-id order, like `budget_tables`.
+        let table_vectors: Vec<usize> =
+            parts.tables.iter().map(|t| t.num_vectors() as usize).collect();
+        let table_reads_per_request_predicted: Vec<Option<f64>> =
+            parts.tables.iter().map(TableStore::predicted_reads_per_request).collect();
         // A warm restart resumes the learned partition the snapshot
         // recorded (the shards restore the same capacities before
         // rehydrating), not the build-time split.
@@ -1859,6 +1873,7 @@ impl ShardedEngine {
                     .collect(),
             ),
             cache_resident_bytes: (0..num_tables).map(|_| AtomicU64::new(0)).collect(),
+            table_reads_per_request_predicted,
             relayout_table_bpr: if config.relayout.is_some() {
                 (0..num_tables).map(|_| BlocksPerRequestGauge::default()).collect()
             } else {
@@ -1969,6 +1984,7 @@ impl ShardedEngine {
         };
         let budget_inputs = config.cache_budget.map(|settings| BudgetInputs {
             tables: budget_tables,
+            sizes: table_vectors,
             settings,
             samples: budget_rx,
         });
@@ -2225,6 +2241,10 @@ impl ShardedEngine {
                 .iter()
                 .map(|b| b.load(Ordering::Relaxed))
                 .collect(),
+            table_reads_per_request_predicted: self
+                .shared
+                .table_reads_per_request_predicted
+                .clone(),
             latency: e2e.summary(),
             queue_wait: breakdown.queue_wait,
             service: breakdown.service,
@@ -3327,6 +3347,18 @@ mod tests {
     }
 
     #[test]
+    fn each_tables_predicted_reads_reach_the_metrics() {
+        let (store, _) = build_store(1);
+        let predicted: Vec<Option<f64>> = (0..store.num_tables())
+            .map(|t| store.table(t).unwrap().predicted_reads_per_request())
+            .collect();
+        assert!(predicted.iter().all(Option::is_some), "{predicted:?}");
+        let engine =
+            ShardedEngine::new(store, ServeConfig::default().with_shards(2)).expect("engine");
+        assert_eq!(engine.metrics().table_reads_per_request_predicted, predicted);
+    }
+
+    #[test]
     fn serve_returns_correct_payloads_with_duplicates_coalesced() {
         let (store, _) = build_store(2);
         let mut reference = {
@@ -3847,14 +3879,15 @@ mod tests {
             p.iter().map(|t| (t.table, t.capacity_entries)).collect()
         };
 
-        // First life: traffic skewed *against* the build-time split (which
-        // favours table 0) re-partitions the caches, then the learned split
-        // is snapshotted. Table 0 only ever touches 4 keys, so no solve can
-        // hand it back the share it was built with.
+        // First life: traffic skewed *against* the build-time split
+        // re-partitions the caches, then the learned split is snapshotted.
+        // The table the build favours only ever touches 4 keys, so no solve
+        // can hand it back the share it was built with.
         let (store, _) = build_store(36);
         let engine = ShardedEngine::new(store, config()).expect("engine");
         let built = caps(&engine.metrics().cache_partition);
-        assert!(built[0].1 > built[1].1, "the build favours table 0: {built:?}");
+        assert_ne!(built[0].1, built[1].1, "the build favours one table: {built:?}");
+        let favoured = usize::from(built[1].1 > built[0].1);
         let mut rng = 7u64;
         let mut lcg = move |keys: u32| {
             rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -3863,11 +3896,13 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             for _ in 0..64 {
-                let ids: Vec<u32> = (0..8).map(|_| lcg(3000)).collect();
-                let request = Request {
-                    queries: vec![TableQuery::new(0, vec![lcg(4)]), TableQuery::new(1, ids)],
-                };
-                engine.submit(&request).expect("submit");
+                let ids: Vec<u32> = (0..8).map(|_| lcg(2000)).collect();
+                let mut queries = vec![
+                    TableQuery::new(favoured, vec![lcg(4)]),
+                    TableQuery::new(1 - favoured, ids),
+                ];
+                queries.sort_by_key(|q| q.table);
+                engine.submit(&Request { queries }).expect("submit");
             }
             engine.drain();
             if engine.metrics().rebudget_applied > 0 || Instant::now() > deadline {

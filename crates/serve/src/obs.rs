@@ -1037,6 +1037,22 @@ pub fn render_prometheus(metrics: &EngineMetrics, snapshot: &EngineSnapshot) -> 
             bytes as f64,
         );
     }
+    head(
+        &mut out,
+        "bandana_table_reads_per_request_predicted",
+        "gauge",
+        "Block reads per request the build-time solve predicted for each table's admission set.",
+    );
+    for (table, reads) in m.table_reads_per_request_predicted.iter().enumerate() {
+        if let Some(reads) = reads {
+            put(
+                &mut out,
+                "bandana_table_reads_per_request_predicted",
+                &format!("table=\"{table}\""),
+                *reads,
+            );
+        }
+    }
     head(&mut out, "bandana_control_tick", "gauge", "Current bus tick.");
     put(&mut out, "bandana_control_tick", "", snapshot.tick as f64);
     head(&mut out, "bandana_uptime_seconds", "gauge", "Engine uptime.");
@@ -1463,6 +1479,7 @@ mod tests {
                 target_entries: 640,
             }],
             cache_resident_bytes: vec![65_536],
+            table_reads_per_request_predicted: vec![None, Some(1.75)],
             latency: summary(11),
             queue_wait: summary(12),
             service: summary(13),
@@ -1652,6 +1669,7 @@ mod tests {
             "bandana_table_cache_capacity_entries{table=\"0\"} 512",
             "bandana_table_cache_target_entries{table=\"0\"} 640",
             "bandana_table_cache_resident_bytes{table=\"0\"} 65536",
+            "bandana_table_reads_per_request_predicted{table=\"1\"} 1.75",
             "bandana_control_tick 212",
             "bandana_uptime_seconds 3",
             "bandana_window_span_seconds 0.4",
@@ -1667,6 +1685,8 @@ mod tests {
         ] {
             assert!(text.contains(name), "missing series {name:?} in:\n{text}");
         }
+        // A table without a set predicts nothing.
+        assert!(!text.contains("bandana_table_reads_per_request_predicted{table=\"0\"}"));
     }
 
     /// Every exposition line is either a `#` comment or

@@ -338,19 +338,22 @@ fn cache_residency_stays_inside_the_memory_model_across_repartitions() {
         engine.metrics()
     };
 
-    // There: table 1 (the smaller share at build time) wins the budget and
-    // fills it. Back: table 0 does, and table 1's arena — full by now — has
-    // to be cut down to its new share.
-    let there = favour(1);
-    assert!(there.cache_resident_bytes[1] > 0, "the gauge never moved: {there:?}");
-    let back = favour(0);
-    assert!(share(&back, 1) < share(&there, 1), "the round trip must shrink table 1");
+    // There: the table with the smaller share at build time wins the
+    // budget and fills it. Back: the other one does, and the first one's
+    // arena — full by now — has to be cut down to its new share.
+    let built = engine.metrics();
+    let small = usize::from(share(&built, 1) < share(&built, 0));
+    let there = favour(small);
+    assert!(there.cache_resident_bytes[small] > 0, "the gauge never moved: {there:?}");
+    let back = favour(1 - small);
+    assert!(share(&back, small) < share(&there, small), "the round trip must shrink it");
     assert!(
-        back.cache_resident_bytes[1] < there.cache_resident_bytes[1],
+        back.cache_resident_bytes[small] < there.cache_resident_bytes[small],
         "a shrunk cache must give its bytes back: {} -> {}",
-        there.cache_resident_bytes[1],
-        back.cache_resident_bytes[1]
+        there.cache_resident_bytes[small],
+        back.cache_resident_bytes[small]
     );
     let text = bandana::serve::render_prometheus(&back, &engine.snapshot());
-    assert!(text.contains("bandana_table_cache_resident_bytes{table=\"1\"}"), "{text}");
+    let gauge = format!("bandana_table_cache_resident_bytes{{table=\"{small}\"}}");
+    assert!(text.contains(&gauge), "{text}");
 }

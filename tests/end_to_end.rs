@@ -281,10 +281,10 @@ fn batched_serving_reduces_device_reads() {
 }
 
 /// Pins what `BandanaStore::build` decides for one fixed spec and seed,
-/// with DRAM divided by hit-rate curves, thresholds tuned by miniature
-/// caches and a block-aware set solved in front of each threshold: a change
-/// to the offline recipe that moves any table's capacity, threshold or set
-/// size fails here.
+/// with DRAM divided and block-aware sets picked by one shared solve and
+/// thresholds tuned by miniature caches at the divided capacities: a
+/// change to the offline recipe that moves any table's capacity, threshold
+/// or set size fails here.
 #[test]
 fn build_decisions_are_pinned() {
     let spec = ModelSpec::paper_scaled(40_000);
@@ -304,11 +304,11 @@ fn build_decisions_are_pinned() {
     let fallbacks: Vec<AdmissionPolicy> = tables().map(|t| t.fallback_policy()).collect();
     let set_sizes: Vec<usize> =
         tables().map(|t| t.admission_set().map_or(0, |s| s.len())).collect();
-    assert_eq!(capacities, [48, 152, 4, 4, 16, 36, 40, 1]);
+    assert_eq!(capacities, [44, 98, 15, 34, 36, 33, 34, 6]);
     assert_eq!(policies, [AdmissionPolicy::Set; 8]);
     let t = |t| AdmissionPolicy::Threshold { t };
     assert_eq!(fallbacks, [t(8), t(8), t(8), t(8), t(8), t(4), t(8), t(8)]);
-    assert_eq!(set_sizes, [48, 149, 4, 4, 16, 36, 39, 1]);
+    assert_eq!(set_sizes, [44, 98, 15, 34, 36, 33, 34, 6]);
 }
 
 /// Serves `trace` the way the engine reads: requests merged
@@ -330,24 +330,27 @@ fn serve_in_batches(store: &mut BandanaStore, trace: &Trace) {
 fn a_resident_set_reads_exactly_what_the_solve_predicts() {
     // The store's reads are pinned like its payloads: once a pass over the
     // training trace has made every table's set resident, replaying that
-    // trace in the engine's batch shape reads exactly the blocks the solve
-    // predicted, table by table, and evicts nothing.
+    // trace in the engine's batch shape reads exactly the blocks the shared
+    // solve predicted, table by table, and evicts nothing.
     let (spec, _generator, train, _eval, embeddings) = fixture(12);
     let config = BandanaConfig::default().with_cache_vectors(800).with_seed(12);
     let mut store = BandanaStore::build(&spec, &embeddings, &train, config).unwrap();
     let tables = || (0..spec.num_tables()).map(|t| store.table(t).unwrap());
     let layouts: Vec<BlockLayout> = tables().map(|t| t.layout().clone()).collect();
     let freqs: Vec<AccessFrequency> = tables().map(|t| t.freq().clone()).collect();
-    let capacities: Vec<usize> = tables().map(|t| t.cache_capacity()).collect();
-    let solved = bandana::core::block_aware_sets(
+    let split = bandana::core::shared_split(
         &layouts,
         &freqs,
         &train,
-        &capacities,
+        800,
         bandana::core::FIT_BATCH_REQUESTS,
     );
+    let solved = &split.sets;
     for (t, s) in solved.iter().enumerate() {
-        assert_eq!(store.table(t).unwrap().admission_set(), Some(&s.set), "table {t}");
+        let table = store.table(t).unwrap();
+        assert_eq!(table.admission_set(), Some(&s.set), "table {t}");
+        assert_eq!(table.cache_capacity(), split.capacities[t], "table {t}");
+        assert_eq!(table.predicted_reads_per_request(), Some(split.predicted_reads_per_request(t)));
     }
 
     serve_in_batches(&mut store, &train);
