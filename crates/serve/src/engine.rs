@@ -38,7 +38,7 @@ use crate::control::{
     Action, ControlConfig, Controller, EngineSnapshot, ShardSnapshot, SloController,
     SloControllerConfig, TableCachePartition, TenantSnapshot,
 };
-use crate::gate::DeviceGate;
+use crate::gate::{DeviceGate, GateStats};
 use crate::hist::{LatencyBreakdown, LatencyHistogram, LatencySummary, WindowedHistogram};
 use crate::obs::{
     AuditEvent, AuditLog, RequestTrace, TraceConfig, TraceEvent, TraceEventKind, TraceRecorder,
@@ -674,9 +674,9 @@ struct ShardStats {
     /// Device submission accounting (zeros when no device queue is
     /// configured).
     depth: DepthStats,
-    /// Wall seconds the worker stalled at the device gate, waiting for
-    /// reads its CPU work had not covered.
-    device_stall_s: f64,
+    /// The worker's device gate: how long it stalled waiting for reads its
+    /// CPU work had not covered, slept and yielded.
+    gate: GateStats,
     /// Dense rebased device capacity in blocks (static per shard).
     capacity_blocks: u64,
     /// Bytes written to the shard's dense device (endurance accounting).
@@ -1437,8 +1437,13 @@ pub struct BatchingMetrics {
     /// reads, summed across shards. Reads are submitted up front and the
     /// CPU work of a batch runs under them, so this is the part of
     /// `depth.busy_s` the software did not cover: close to `busy_s` on a
-    /// device-bound engine, close to zero on a CPU-bound one.
+    /// device-bound engine, close to zero on a CPU-bound one. Equal to
+    /// `gate.stall_s()`, exactly.
     pub device_stall_s: f64,
+    /// How the shard workers spent that stall: slept, yielded, and the
+    /// sleeps that woke late, summed across shards (the wake margin is the
+    /// largest shard's).
+    pub gate: GateStats,
 }
 
 impl BatchingMetrics {
@@ -1478,8 +1483,12 @@ pub struct ShardMetrics {
     /// This shard's device submission accounting.
     pub depth: DepthStats,
     /// Wall seconds this shard's worker stalled waiting for submitted
-    /// reads (see [`BatchingMetrics::device_stall_s`]).
+    /// reads (see [`BatchingMetrics::device_stall_s`]). Equal to
+    /// `gate.stall_s()`, exactly.
     pub device_stall_s: f64,
+    /// This shard's device gate: the stall slept and yielded, late wakes
+    /// and the wake margin.
+    pub gate: GateStats,
     /// Capacity of the shard's rebased dense device in blocks — exactly
     /// the blocks its tables occupy, so occupancy is always 100% and
     /// capacity checks are per-shard.
@@ -2174,7 +2183,7 @@ impl ShardedEngine {
             batching.batched_requests += s.batched_requests;
             batching.largest_batch = batching.largest_batch.max(s.largest_batch);
             batching.depth.merge(&s.depth);
-            batching.device_stall_s += s.device_stall_s;
+            batching.gate.merge(&s.gate);
             pool.merge(&s.pool);
             per_shard.push(ShardMetrics {
                 shard,
@@ -2188,13 +2197,15 @@ impl ShardedEngine {
                 batches: s.batches,
                 largest_batch: s.largest_batch,
                 depth: s.depth,
-                device_stall_s: s.device_stall_s,
+                device_stall_s: s.gate.stall_s(),
+                gate: s.gate,
                 capacity_blocks: s.capacity_blocks,
                 bytes_written: s.bytes_written,
                 drive_writes: s.drive_writes,
                 pool: s.pool,
             });
         }
+        batching.device_stall_s = batching.gate.stall_s();
         let breakdown = LatencyBreakdown {
             queue_wait: queue_wait.summary(),
             device: device.summary(),
@@ -2760,6 +2771,11 @@ fn shard_main(
         serve: Vec::new(),
         job_payloads: Vec::new(),
     };
+    // The gate sleeps through device waits: learn how far this thread's
+    // sleeps overrun before the first batch relies on it.
+    if tracker.is_some() {
+        worker.gate.calibrate();
+    }
     // Warm restart: apply the recovered snapshot slice before touching
     // the queue, then report readiness — the builder holds admission
     // closed until every shard has flipped `warm_shards`. Rehydration
@@ -3182,7 +3198,7 @@ fn process_batch(
 
     // The batch is not done before its reads are: let the rest of the
     // charged device time pass (none, when every read was reaped).
-    let stalled = gate.await_all();
+    gate.await_all();
 
     if device_s > 0.0 {
         // Flight recorder: the batch's device span, per sampled served
@@ -3279,7 +3295,7 @@ fn process_batch(
         if let Some(t) = tracker.as_ref() {
             stats.depth = t.stats();
         }
-        stats.device_stall_s += stalled.as_secs_f64();
+        stats.gate = gate.stats();
         let mut cache = CacheMetrics::new();
         for t in tables.values() {
             cache.merge(t.metrics());

@@ -299,6 +299,7 @@ pub use engine::{
     BatchingMetrics, EngineMetrics, RecoveryMetrics, ServeConfig, ServeError, ShardMetrics,
     ShardedEngine, Tap, TapCounts,
 };
+pub use gate::GateStats;
 pub use hist::{fmt_secs, LatencyBreakdown, LatencyHistogram, LatencySummary, WindowedHistogram};
 pub use loadgen::{
     run_closed_loop, run_open_loop, run_open_loop_net, run_open_loop_tenants, run_open_loop_with,

@@ -659,6 +659,17 @@ pub fn render_prometheus(metrics: &EngineMetrics, snapshot: &EngineSnapshot) -> 
     put(&mut out, "bandana_device_busy_seconds_total", "", m.batching.depth.busy_s);
     head(&mut out, "bandana_device_stall_seconds_total", "counter", "Wall time stalled on reads.");
     put(&mut out, "bandana_device_stall_seconds_total", "", m.batching.device_stall_s);
+    let gate = &m.batching.gate;
+    head(&mut out, "bandana_gate_sleep_seconds_total", "counter", "Stall slept through.");
+    put(&mut out, "bandana_gate_sleep_seconds_total", "", gate.sleep_s);
+    head(&mut out, "bandana_gate_yield_seconds_total", "counter", "Stall spent yielding the core.");
+    put(&mut out, "bandana_gate_yield_seconds_total", "", gate.yield_s);
+    head(&mut out, "bandana_gate_sleeps_total", "counter", "Sleeps taken through device waits.");
+    put(&mut out, "bandana_gate_sleeps_total", "", gate.sleeps as f64);
+    head(&mut out, "bandana_gate_late_wakes_total", "counter", "Sleeps that woke past their plan.");
+    put(&mut out, "bandana_gate_late_wakes_total", "", gate.late_wakes as f64);
+    head(&mut out, "bandana_gate_wake_margin_seconds", "gauge", "Largest shard's wake margin.");
+    put(&mut out, "bandana_gate_wake_margin_seconds", "", gate.wake_margin_s);
 
     // Block-buffer pool.
     head(&mut out, "bandana_pool_acquires_total", "counter", "Block buffers handed out.");
@@ -1181,6 +1192,7 @@ mod tests {
     use super::*;
     use crate::control::{ShardSnapshot, TableCachePartition, TenantSnapshot};
     use crate::engine::{BatchingMetrics, RecoveryMetrics, ShardMetrics, TapCounts};
+    use crate::gate::GateStats;
     use crate::hist::{LatencyBreakdown, LatencyHistogram};
     use crate::tenant::{PriorityClass, ShedBreakdown};
     use bandana_cache::{AdmissionPolicy, CacheMetrics};
@@ -1501,6 +1513,13 @@ mod tests {
                     busy_s: 0.125,
                 },
                 device_stall_s: 0.0625,
+                gate: GateStats {
+                    sleep_s: 0.046875,
+                    yield_s: 0.015625,
+                    sleeps: 40,
+                    late_wakes: 3,
+                    wake_margin_s: 0.0000625,
+                },
             },
             pool: PoolStats { acquires: 500, reuses: 480, allocs: 20, retained: 16 },
             e2e_histogram: e2e,
@@ -1526,6 +1545,13 @@ mod tests {
                 largest_batch: 9,
                 depth: DepthStats { submitted: 300, ..DepthStats::default() },
                 device_stall_s: 0.03125,
+                gate: GateStats {
+                    sleep_s: 0.0234375,
+                    yield_s: 0.0078125,
+                    sleeps: 20,
+                    late_wakes: 1,
+                    wake_margin_s: 0.0000625,
+                },
                 capacity_blocks: 2048,
                 bytes_written: 1 << 20,
                 drive_writes: 0.25,
@@ -1598,6 +1624,11 @@ mod tests {
             "bandana_device_queue_depth_mean",
             "bandana_device_busy_seconds_total 0.125",
             "bandana_device_stall_seconds_total 0.0625",
+            "bandana_gate_sleep_seconds_total 0.046875",
+            "bandana_gate_yield_seconds_total 0.015625",
+            "bandana_gate_sleeps_total 40",
+            "bandana_gate_late_wakes_total 3",
+            "bandana_gate_wake_margin_seconds 0.0000625",
             "bandana_pool_acquires_total 500",
             "bandana_pool_reuses_total 480",
             "bandana_pool_allocs_total 20",
